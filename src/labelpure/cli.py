@@ -1,16 +1,23 @@
 """Command-line pipelines: synth, corrupt, purify, retrain, eval, report.
 
+Each subcommand has one option table in ``_COMMANDS``; each row is a flag and
+the one config key it sets (dotted when nested). The defaults, the argparse
+arguments and the flag resolution all derive from it. The ``purifier`` and
+``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``; their
+keys without a flag (``eac.beta1/beta2/eps/seed``, ``train.beta1/beta2/eps``)
+are set only through ``--config``.
+
 Every run resolves its full configuration (defaults < config file < flags)
-and writes a manifest recording the resolved config, input digests, and
-seeds; re-running a subcommand with ``--config <manifest>`` reproduces the
-outputs bitwise. Heavy imports happen inside handlers so ``--threads`` can
-pin BLAS thread counts before numpy loads.
+and ``dispatch`` writes a manifest recording the resolved config, input
+digests, and seeds; re-running a subcommand with ``--config <manifest>``
+reproduces the outputs bitwise. The resolved ``threads``, from the flag or a
+replayed config, pins BLAS thread counts before numpy loads, so heavy imports
+happen inside the handlers.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import os
@@ -18,14 +25,13 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 _THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
 )
+
+_REPLAY_HELP = "JSON config file or manifest to replay"
 
 
 @dataclass(frozen=True)
@@ -41,18 +47,41 @@ class RunManifest:
     seeds: dict
 
 
-def _apply_threads(argv: list[str]) -> None:
+class _Opt(NamedTuple):
+    """One flag and the config key it sets. ``default`` applies to top-level
+    keys only (nested ones come from the config dataclasses); ``dest``
+    overrides the argparse destination, and so the metavar, of the flag."""
+
+    flag: str
+    key: str
+    type: type = str
+    help: str | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    dest: str | None = None
+
+
+class _Command(NamedTuple):
+    """``func`` maps the resolved config to ``(primary_output, inputs, outputs,
+    seeds)`` for the manifest; ``trees`` gives the nested default sub-trees.
+    Without ``replay`` there is no ``--config``, so argparse enforces the
+    required flags itself."""
+
+    func: Callable[[dict], tuple]
+    help: str
+    options: tuple[_Opt, ...]
+    config_help: str | None = None
+    replay: bool = True
+    trees: Callable[[], dict] | None = None
+
+
+def _apply_threads(threads) -> None:
     # Best effort: only effective when numpy has not been imported yet.
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
     if threads is None or "numpy" in sys.modules:
         return
     for var in _THREAD_ENV_VARS:
-        os.environ[var] = threads
+        os.environ[var] = str(threads)
 
 
 def _sha256(path: str | Path) -> str:
@@ -63,24 +92,13 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _write_manifest(
-    path: str | Path,
-    command: str,
-    config: dict,
-    inputs: dict[str, str],
-    outputs: dict[str, str],
-    seeds: dict,
-) -> None:
+def _write_manifest(path: str, command: str, config: dict, inputs: dict, outputs: dict, seeds: dict) -> None:
     from . import __version__
 
     manifest = RunManifest(
         command=command,
         artifact_version=__version__,
-        created_utc=_utc_now(),
+        created_utc=datetime.now(timezone.utc).isoformat(),
         config=config,
         inputs={name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         outputs={name: str(p) for name, p in outputs.items()},
@@ -113,19 +131,33 @@ def _load_config_file(path: str | Path) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, flag_map: dict[str, str]) -> dict:
-    cfg = copy.deepcopy(defaults)
-    if getattr(args, "config", None):
-        _deep_update(cfg, _load_config_file(args.config))
-    for dest, dotted in flag_map.items():
-        value = getattr(args, dest, None)
+def _dest(opt: _Opt) -> str:
+    return opt.dest or opt.flag[2:].replace("-", "_")
+
+
+def _defaults(command: str) -> dict:
+    cmd = _COMMANDS[command]
+    cfg = {"version": 1, **{opt.key: opt.default for opt in cmd.options if "." not in opt.key}}
+    return {**cfg, **cmd.trees()} if cmd.trees else cfg
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The run's config: defaults < ``--config`` file < flags, with required keys checked."""
+    cmd = _COMMANDS[args.command]
+    overlay = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    # Before _defaults: building the purify/retrain trees imports numpy.
+    _apply_threads(getattr(args, "threads", None) or overlay.get("threads"))
+    cfg = _deep_update(_defaults(args.command), overlay)
+    for opt in cmd.options:
+        value = getattr(args, _dest(opt))
         if value is None:
             continue
         node = cfg
-        *parents, leaf = dotted.split(".")
+        *parents, leaf = opt.key.split(".")
         for key in parents:
             node = node[key]
         node[leaf] = value
+    _require(cfg, *(opt.key for opt in cmd.options if opt.required))
     return cfg
 
 
@@ -135,117 +167,66 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ValueError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _manifest_path(cfg: dict, primary_out: str) -> str:
-    return cfg.get("manifest") or f"{primary_out}.manifest.json"
-
-
 # ---------------------------------------------------------------- synth
 
 
-def _synth_defaults() -> dict:
-    return {
-        "version": 1,
-        "n": None,
-        "dim": None,
-        "classes": None,
-        "separation": None,
-        "seed": 0,
-        "out_features": None,
-        "out_labels": None,
-        "n_val": 0,
-        "out_val_features": None,
-        "out_val_labels": None,
-        "n_test": 0,
-        "out_test_features": None,
-        "out_test_labels": None,
-        "manifest": None,
-    }
+_SYNTH_OPTIONS = (
+    _Opt("--n", "n", int, required=True),
+    _Opt("--dim", "dim", int, required=True),
+    _Opt("--classes", "classes", int, required=True),
+    _Opt("--separation", "separation", float, required=True),
+    _Opt("--seed", "seed", int, default=0),
+    _Opt("--out-features", "out_features", required=True),
+    _Opt("--out-labels", "out_labels", required=True),
+    _Opt("--n-val", "n_val", int, "also draw a validation split from the same mixture", default=0),
+    _Opt("--out-val-features", "out_val_features"),
+    _Opt("--out-val-labels", "out_val_labels", help="one-hot CSV for the validation split"),
+    _Opt("--n-test", "n_test", int, default=0),
+    _Opt("--out-test-features", "out_test_features"),
+    _Opt("--out-test-labels", "out_test_labels"),
+    _Opt("--manifest", "manifest"),
+)
 
 
-_SYNTH_FLAGS = {
-    "n": "n",
-    "dim": "dim",
-    "classes": "classes",
-    "separation": "separation",
-    "seed": "seed",
-    "out_features": "out_features",
-    "out_labels": "out_labels",
-    "n_val": "n_val",
-    "out_val_features": "out_val_features",
-    "out_val_labels": "out_val_labels",
-    "n_test": "n_test",
-    "out_test_features": "out_test_features",
-    "out_test_labels": "out_test_labels",
-    "manifest": "manifest",
-}
-
-
-def _cmd_synth(args: argparse.Namespace) -> None:
+def _cmd_synth(cfg: dict) -> tuple:
     from . import data, noise
 
-    cfg = _resolve(args, _synth_defaults(), _SYNTH_FLAGS)
-    _require(cfg, "n", "dim", "classes", "separation", "out_features", "out_labels")
     if cfg["n_val"] > 0:
         _require(cfg, "out_val_features", "out_val_labels")
     if cfg["n_test"] > 0:
         _require(cfg, "out_test_features", "out_test_labels")
 
-    spec = noise.MixtureSpec(
-        n=cfg["n"], dim=cfg["dim"], classes=cfg["classes"],
-        separation=cfg["separation"], seed=cfg["seed"],
-    )
+    spec = noise.MixtureSpec(cfg["n"], cfg["dim"], cfg["classes"], cfg["separation"], cfg["seed"])
     train, val, test = noise.gen_gaussian_mixture_split(spec, cfg["n_val"], cfg["n_test"])
-    outputs = {}
     data.write_features(train[0], cfg["out_features"])
     data.write_hard_labels(train[1], cfg["out_labels"])
-    outputs["features"] = cfg["out_features"]
-    outputs["labels"] = cfg["out_labels"]
+    outputs = {"features": cfg["out_features"], "labels": cfg["out_labels"]}
     if val is not None:
         data.write_features(val[0], cfg["out_val_features"])
         data.write_onehot_csv(data.one_hot(val[1]), cfg["out_val_labels"])
-        outputs["val_features"] = cfg["out_val_features"]
-        outputs["val_labels"] = cfg["out_val_labels"]
+        outputs.update(val_features=cfg["out_val_features"], val_labels=cfg["out_val_labels"])
     if test is not None:
         data.write_features(test[0], cfg["out_test_features"])
         data.write_hard_labels(test[1], cfg["out_test_labels"])
-        outputs["test_features"] = cfg["out_test_features"]
-        outputs["test_labels"] = cfg["out_test_labels"]
-    _write_manifest(
-        _manifest_path(cfg, cfg["out_features"]), "synth", cfg,
-        inputs={}, outputs=outputs, seeds={"seed": cfg["seed"]},
-    )
+        outputs.update(test_features=cfg["out_test_features"], test_labels=cfg["out_test_labels"])
     print(f"synth: wrote {spec.n} samples ({spec.classes} classes, dim {spec.dim}) to {cfg['out_features']}")
+    return cfg["out_features"], {}, outputs, {"seed": cfg["seed"]}
 
 
 # ---------------------------------------------------------------- corrupt
 
 
-def _corrupt_defaults() -> dict:
-    return {
-        "version": 1,
-        "labels": None,
-        "kind": "symmetric",
-        "ratio": None,
-        "map": None,
-        "seed": 0,
-        "classes": None,
-        "exact_count": False,
-        "out": None,
-        "manifest": None,
-    }
-
-
-_CORRUPT_FLAGS = {
-    "labels": "labels",
-    "kind": "kind",
-    "ratio": "ratio",
-    "map": "map",
-    "seed": "seed",
-    "classes": "classes",
-    "exact_count": "exact_count",
-    "out": "out",
-    "manifest": "manifest",
-}
+_CORRUPT_OPTIONS = (
+    _Opt("--labels", "labels", required=True),
+    _Opt("--kind", "kind", default="symmetric", choices=("symmetric", "asymmetric")),
+    _Opt("--ratio", "ratio", float, required=True),
+    _Opt("--map", "map", help="asymmetric class map, e.g. '0:1,2:3'"),
+    _Opt("--seed", "seed", int, default=0),
+    _Opt("--classes", "classes", int, "class count (default: max index + 1)"),
+    _Opt("--exact-count", "exact_count", bool, "flip an exact count instead of Bernoulli draws", default=False),
+    _Opt("--out", "out", required=True),
+    _Opt("--manifest", "manifest"),
+)
 
 
 def _parse_class_map(text: str) -> dict[int, int]:
@@ -264,11 +245,9 @@ def _parse_class_map(text: str) -> dict[int, int]:
     return out
 
 
-def _cmd_corrupt(args: argparse.Namespace) -> None:
+def _cmd_corrupt(cfg: dict) -> tuple:
     from . import data, noise
 
-    cfg = _resolve(args, _corrupt_defaults(), _CORRUPT_FLAGS)
-    _require(cfg, "labels", "ratio", "out")
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"], cfg["exact_count"])
@@ -280,112 +259,78 @@ def _cmd_corrupt(args: argparse.Namespace) -> None:
         elif labels.n_classes == 10:
             class_map = dict(noise.CIFAR10_CLASS_MAP)
         else:
-            raise ValueError(
-                f"asymmetric noise over {labels.n_classes} classes needs an explicit --map"
-            )
+            raise ValueError(f"asymmetric noise over {labels.n_classes} classes needs an explicit --map")
         noisy = noise.inject_asymmetric(labels, cfg["ratio"], class_map, cfg["seed"], cfg["exact_count"])
         cfg["map"] = ",".join(f"{k}:{v}" for k, v in sorted(class_map.items()))
     else:
         raise ValueError(f"unknown noise kind {cfg['kind']!r}")
     data.write_hard_labels(noisy, cfg["out"])
     changed = float((noisy.values != labels.values).mean())
-    _write_manifest(
-        _manifest_path(cfg, cfg["out"]), "corrupt", cfg,
-        inputs={"labels": cfg["labels"]}, outputs={"labels": cfg["out"]},
-        seeds={"seed": cfg["seed"]},
-    )
     print(f"corrupt: flipped {changed:.1%} of {len(labels)} labels -> {cfg['out']}")
+    return cfg["out"], {"labels": cfg["labels"]}, {"labels": cfg["out"]}, {"seed": cfg["seed"]}
 
 
 # ---------------------------------------------------------------- purify
 
 
-def _purify_defaults() -> dict:
+_PURIFY_OPTIONS = (
+    _Opt("--features", "features", required=True),
+    _Opt("--labels", "labels", required=True),
+    _Opt("--val-features", "val_features", required=True),
+    _Opt("--val-labels", "val_labels", help="one-hot CSV", required=True),
+    _Opt("--truth", "truth", help="ground-truth labels, for reporting only"),
+    _Opt("--out-labels", "out_labels", required=True),
+    _Opt("--out-logits", "out_logits"),
+    _Opt("--report", "report", help="JSON-lines iteration report"),
+    _Opt("--alpha", "purifier.ipc.alpha", float, "softmax scaling of the label logits"),
+    _Opt("--lambda", "purifier.ipc.lam", float, "ridge coefficient", dest="lam"),
+    _Opt("--eta-i", "purifier.ipc.eta", float, "logit correction rate"),
+    _Opt("--eta-e", "purifier.eac.eta", float, "replacement momentum (1 = replace outright)"),
+    _Opt("--period", "purifier.eac.period", int, "iterations between label replacements"),
+    _Opt("--batch", "purifier.batch_size", int),
+    _Opt("--epochs", "purifier.epochs", int),
+    _Opt("--seed", "purifier.shuffle_seed", int, "epoch shuffle seed"),
+    _Opt("--ipc-gamma-ent", "purifier.ipc.gamma_ent", float),
+    _Opt("--eac-gamma-ent", "purifier.eac.gamma_ent", float),
+    _Opt("--eac-lr", "purifier.eac.lr", float),
+    _Opt("--eac-steps", "purifier.eac_steps_per_iter", int),
+    _Opt("--val-batch", "purifier.ipc.val_batch", int),
+    _Opt("--init-scale", "purifier.init_scale", float),
+    _Opt("--blend-space", "purifier.eac.blend_space", choices=("logit", "probability")),
+    _Opt("--hard-targets", "purifier.eac.hard_targets", bool),
+    _Opt("--bias", "purifier.eac.use_bias", bool, "classifier bias term"),
+    _Opt("--normalize-features", "purifier.normalize_features", bool),
+    _Opt("--normalize-gram", "purifier.ipc.normalize_gram", bool),
+    _Opt("--add-bias", "purifier.add_bias_feature", bool, "append a constant-1 feature column"),
+    _Opt("--ipc", "purifier.use_ipc", bool, "enable the ridge corrector"),
+    _Opt("--eac", "purifier.use_eac", bool, "enable the classifier corrector"),
+    _Opt("--threads", "threads", help="BLAS thread count (set before numpy loads)"),
+    _Opt("--manifest", "manifest"),
+)
+
+
+def _purifier_tree() -> dict:
     from .purifier import PurifierConfig
 
     purifier = asdict(PurifierConfig())
     purifier.pop("track_truth")
-    return {
-        "version": 1,
-        "features": None,
-        "labels": None,
-        "val_features": None,
-        "val_labels": None,
-        "truth": None,
-        "out_labels": None,
-        "out_logits": None,
-        "report": None,
-        "manifest": None,
-        "threads": None,
-        "purifier": purifier,
-    }
+    return {"purifier": purifier}
 
 
-_PURIFY_FLAGS = {
-    "features": "features",
-    "labels": "labels",
-    "val_features": "val_features",
-    "val_labels": "val_labels",
-    "truth": "truth",
-    "out_labels": "out_labels",
-    "out_logits": "out_logits",
-    "report": "report",
-    "manifest": "manifest",
-    "threads": "threads",
-    "alpha": "purifier.ipc.alpha",
-    "lam": "purifier.ipc.lam",
-    "eta_i": "purifier.ipc.eta",
-    "ipc_gamma_ent": "purifier.ipc.gamma_ent",
-    "val_batch": "purifier.ipc.val_batch",
-    "normalize_gram": "purifier.ipc.normalize_gram",
-    "eta_e": "purifier.eac.eta",
-    "period": "purifier.eac.period",
-    "eac_gamma_ent": "purifier.eac.gamma_ent",
-    "eac_lr": "purifier.eac.lr",
-    "blend_space": "purifier.eac.blend_space",
-    "hard_targets": "purifier.eac.hard_targets",
-    "bias": "purifier.eac.use_bias",
-    "batch": "purifier.batch_size",
-    "epochs": "purifier.epochs",
-    "seed": "purifier.shuffle_seed",
-    "init_scale": "purifier.init_scale",
-    "normalize_features": "purifier.normalize_features",
-    "add_bias": "purifier.add_bias_feature",
-    "ipc": "purifier.use_ipc",
-    "eac": "purifier.use_eac",
-    "eac_steps": "purifier.eac_steps_per_iter",
-}
-
-
-def _build_purifier_config(tree: dict, track_truth):
+def _cmd_purify(cfg: dict) -> tuple:
+    from . import data
     from .eac import EacConfig
     from .ipc import IpcConfig
-    from .purifier import PurifierConfig
+    from .purifier import PurifierConfig, purify, save_report
 
-    node = copy.deepcopy(tree)
-    ipc = IpcConfig(**node.pop("ipc"))
-    eac = EacConfig(**node.pop("eac"))
-    return PurifierConfig(ipc=ipc, eac=eac, track_truth=track_truth, **node)
-
-
-def _cmd_purify(args: argparse.Namespace) -> None:
-    from . import data
-    from .purifier import purify, save_report
-
-    cfg = _resolve(args, _purify_defaults(), _PURIFY_FLAGS)
-    _require(cfg, "features", "labels", "val_features", "val_labels", "out_labels")
-
-    val_features = data.load_features(cfg["val_features"])
-    val_labels = data.load_onehot_csv(cfg["val_labels"])
-    val = data.CleanValidationSet(val_features, val_labels)
+    val = data.CleanValidationSet(data.load_features(cfg["val_features"]), data.load_onehot_csv(cfg["val_labels"]))
     features = data.load_features(cfg["features"])
     noisy = data.load_hard_labels(cfg["labels"], val.n_classes)
-    truth = None
-    if cfg["truth"]:
-        truth = data.load_hard_labels(cfg["truth"], val.n_classes)
+    truth = data.load_hard_labels(cfg["truth"], val.n_classes) if cfg["truth"] else None
 
-    pconfig = _build_purifier_config(cfg["purifier"], truth)
-    logits, purified, rep = purify(features, noisy, val, pconfig)
+    tree = dict(cfg["purifier"])
+    ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
+    logits, purified, rep = purify(features, noisy, val, PurifierConfig(ipc=ipc, eac=eac, track_truth=truth, **tree))
 
     data.write_hard_labels(purified, cfg["out_labels"])
     outputs = {"labels": cfg["out_labels"]}
@@ -396,69 +341,44 @@ def _cmd_purify(args: argparse.Namespace) -> None:
         save_report(rep, cfg["report"])
         outputs["report"] = cfg["report"]
 
-    inputs = {
-        "features": cfg["features"],
-        "labels": cfg["labels"],
-        "val_features": cfg["val_features"],
-        "val_labels": cfg["val_labels"],
-    }
-    if cfg["truth"]:
-        inputs["truth"] = cfg["truth"]
-    _write_manifest(
-        _manifest_path(cfg, cfg["out_labels"]), "purify", cfg,
-        inputs=inputs, outputs=outputs,
-        seeds={"shuffle_seed": cfg["purifier"]["shuffle_seed"], "eac_seed": cfg["purifier"]["eac"]["seed"]},
-    )
+    inputs = {k: cfg[k] for k in ("features", "labels", "val_features", "val_labels", "truth") if cfg[k]}
     tail = ""
     if "final_accuracy" in rep.summary:
-        tail = (
-            f", accuracy {rep.summary['initial_accuracy']:.4f}"
-            f" -> {rep.summary['final_accuracy']:.4f}"
-        )
+        tail = f", accuracy {rep.summary['initial_accuracy']:.4f} -> {rep.summary['final_accuracy']:.4f}"
     print(f"purify: {rep.summary['iterations']} iterations{tail} -> {cfg['out_labels']}")
+    seeds = {"shuffle_seed": cfg["purifier"]["shuffle_seed"], "eac_seed": cfg["purifier"]["eac"]["seed"]}
+    return cfg["out_labels"], inputs, outputs, seeds
 
 
 # ---------------------------------------------------------------- retrain
 
 
-def _retrain_defaults() -> dict:
+_RETRAIN_OPTIONS = (
+    _Opt("--features", "features", required=True),
+    _Opt("--labels", "labels"),
+    _Opt("--soft-logits", "soft_logits", help="train on soft labels from this logits file instead"),
+    _Opt("--alpha", "alpha", float, "softmax scaling for --soft-logits", default=1.0),
+    _Opt("--epochs", "train.epochs", int),
+    _Opt("--batch", "train.batch", int),
+    _Opt("--lr", "train.lr", float),
+    _Opt("--seed", "train.seed", int),
+    _Opt("--weight-decay", "train.weight_decay", float),
+    _Opt("--out-model", "out_model", required=True),
+    _Opt("--threads", "threads"),
+    _Opt("--manifest", "manifest"),
+)
+
+
+def _train_tree() -> dict:
     from .evaluate import TrainConfig
 
-    return {
-        "version": 1,
-        "features": None,
-        "labels": None,
-        "soft_logits": None,
-        "alpha": 1.0,
-        "out_model": None,
-        "manifest": None,
-        "threads": None,
-        "train": asdict(TrainConfig()),
-    }
+    return {"train": asdict(TrainConfig())}
 
 
-_RETRAIN_FLAGS = {
-    "features": "features",
-    "labels": "labels",
-    "soft_logits": "soft_logits",
-    "alpha": "alpha",
-    "out_model": "out_model",
-    "manifest": "manifest",
-    "threads": "threads",
-    "epochs": "train.epochs",
-    "batch": "train.batch",
-    "lr": "train.lr",
-    "seed": "train.seed",
-    "weight_decay": "train.weight_decay",
-}
-
-
-def _cmd_retrain(args: argparse.Namespace) -> None:
+def _cmd_retrain(cfg: dict) -> tuple:
     from . import data
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
-    cfg = _resolve(args, _retrain_defaults(), _RETRAIN_FLAGS)
-    _require(cfg, "features", "out_model")
     features = data.load_features(cfg["features"])
     tconfig = TrainConfig(**cfg["train"])
     inputs = {"features": cfg["features"]}
@@ -473,227 +393,118 @@ def _cmd_retrain(args: argparse.Namespace) -> None:
         clf = train_linear_ce(features, labels, tconfig)
         inputs["labels"] = cfg["labels"]
     save_classifier(clf, cfg["out_model"])
-    _write_manifest(
-        _manifest_path(cfg, cfg["out_model"]), "retrain", cfg,
-        inputs=inputs, outputs={"model": cfg["out_model"]},
-        seeds={"seed": cfg["train"]["seed"]},
-    )
     print(f"retrain: {features.n} samples -> {cfg['out_model']}")
+    return cfg["out_model"], inputs, {"model": cfg["out_model"]}, {"seed": cfg["train"]["seed"]}
 
 
 # ---------------------------------------------------------------- eval
 
 
-def _eval_defaults() -> dict:
-    return {
-        "version": 1,
-        "model": None,
-        "features": None,
-        "labels": None,
-        "out_json": None,
-        "manifest": None,
-        "threads": None,
-    }
+_EVAL_OPTIONS = (
+    _Opt("--model", "model", required=True),
+    _Opt("--features", "features", required=True),
+    _Opt("--labels", "labels", required=True),
+    _Opt("--out-json", "out_json"),
+    _Opt("--threads", "threads"),
+    _Opt("--manifest", "manifest"),
+)
 
 
-_EVAL_FLAGS = {
-    "model": "model",
-    "features": "features",
-    "labels": "labels",
-    "out_json": "out_json",
-    "manifest": "manifest",
-    "threads": "threads",
-}
-
-
-def _cmd_eval(args: argparse.Namespace) -> None:
+def _cmd_eval(cfg: dict) -> tuple:
     from . import data
     from .evaluate import evaluate_classifier, load_classifier
 
-    cfg = _resolve(args, _eval_defaults(), _EVAL_FLAGS)
-    _require(cfg, "model", "features", "labels")
     clf = load_classifier(cfg["model"])
     features = data.load_features(cfg["features"])
     labels = data.load_hard_labels(cfg["labels"], clf.n_classes)
-    acc = evaluate_classifier(clf, features, labels)
-    metrics = {"accuracy": acc, "n": features.n}
+    metrics = {"accuracy": evaluate_classifier(clf, features, labels), "n": features.n}
     print(json.dumps(metrics))
     outputs = {}
     if cfg["out_json"]:
         Path(cfg["out_json"]).write_text(json.dumps(metrics) + "\n", encoding="utf-8")
         outputs["metrics"] = cfg["out_json"]
-    _write_manifest(
-        _manifest_path(cfg, cfg["out_json"] or f"{cfg['model']}.eval"), "eval", cfg,
-        inputs={"model": cfg["model"], "features": cfg["features"], "labels": cfg["labels"]},
-        outputs=outputs, seeds={},
-    )
+    inputs = {"model": cfg["model"], "features": cfg["features"], "labels": cfg["labels"]}
+    return cfg["out_json"] or f"{cfg['model']}.eval", inputs, outputs, {}
 
 
 # ---------------------------------------------------------------- report
 
 
-def _cmd_report(args: argparse.Namespace) -> None:
-    import csv as csv_mod
+_REPORT_OPTIONS = (
+    _Opt("--in", "in", required=True, dest="inp"),
+    _Opt("--csv", "csv", required=True),
+    _Opt("--manifest", "manifest"),
+)
+
+
+def _cmd_report(cfg: dict) -> tuple:
+    import csv
 
     from .purifier import load_report
 
-    cfg = {
-        "version": 1,
-        "in": args.inp,
-        "csv": args.csv,
-        "manifest": args.manifest,
-    }
-    _require(cfg, "in", "csv")
+    def cell(value):
+        return "" if value is None else value
+
     rep = load_report(cfg["in"])
     with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv_mod.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["p", "epoch", "val_loss", "grad_norm", "eac_update", "acc"])
         for rec in rep.records:
             writer.writerow(
-                [
-                    rec.p,
-                    rec.epoch,
-                    "" if rec.val_loss is None else rec.val_loss,
-                    "" if rec.grad_norm is None else rec.grad_norm,
-                    int(rec.eac_update),
-                    "" if rec.acc is None else rec.acc,
-                ]
+                [rec.p, rec.epoch, cell(rec.val_loss), cell(rec.grad_norm), int(rec.eac_update), cell(rec.acc)]
             )
-    _write_manifest(
-        _manifest_path(cfg, cfg["csv"]), "report", cfg,
-        inputs={"report": cfg["in"]}, outputs={"csv": cfg["csv"]}, seeds={},
-    )
     print(f"report: {len(rep.records)} records -> {cfg['csv']}")
+    return cfg["csv"], {"report": cfg["in"]}, {"csv": cfg["csv"]}, {}
 
 
 # ---------------------------------------------------------------- parser
 
 
+_COMMANDS = {
+    "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS, _REPLAY_HELP),
+    "corrupt": _Command(_cmd_corrupt, "inject label noise into a labels file", _CORRUPT_OPTIONS),
+    "purify": _Command(
+        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, _REPLAY_HELP,
+        trees=_purifier_tree,
+    ),
+    "retrain": _Command(_cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, trees=_train_tree),
+    "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS),
+    "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS, replay=False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="labelpure",
-        description="Purify noisy classification labels over frozen feature embeddings.",
-    )
+    description = "Purify noisy classification labels over frozen feature embeddings."
+    parser = argparse.ArgumentParser(prog="labelpure", description=description)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    boolopt = argparse.BooleanOptionalAction
-
-    p = sub.add_parser("synth", help="generate a Gaussian-mixture feature benchmark")
-    p.add_argument("--config", help="JSON config file or manifest to replay")
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-features")
-    p.add_argument("--out-labels")
-    p.add_argument("--n-val", type=int, help="also draw a validation split from the same mixture")
-    p.add_argument("--out-val-features")
-    p.add_argument("--out-val-labels", help="one-hot CSV for the validation split")
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--out-test-features")
-    p.add_argument("--out-test-labels")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("corrupt", help="inject label noise into a labels file")
-    p.add_argument("--config")
-    p.add_argument("--labels")
-    p.add_argument("--kind", choices=["symmetric", "asymmetric"])
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--map", help="asymmetric class map, e.g. '0:1,2:3'")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--classes", type=int, help="class count (default: max index + 1)")
-    p.add_argument("--exact-count", action=boolopt, default=None, help="flip an exact count instead of Bernoulli draws")
-    p.add_argument("--out")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_corrupt)
-
-    p = sub.add_parser("purify", help="purify noisy labels against a clean validation set")
-    p.add_argument("--config", help="JSON config file or manifest to replay")
-    p.add_argument("--features")
-    p.add_argument("--labels")
-    p.add_argument("--val-features")
-    p.add_argument("--val-labels", help="one-hot CSV")
-    p.add_argument("--truth", help="ground-truth labels, for reporting only")
-    p.add_argument("--out-labels")
-    p.add_argument("--out-logits")
-    p.add_argument("--report", help="JSON-lines iteration report")
-    p.add_argument("--alpha", type=float, help="softmax scaling of the label logits")
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge coefficient")
-    p.add_argument("--eta-i", type=float, help="logit correction rate")
-    p.add_argument("--eta-e", type=float, help="replacement momentum (1 = replace outright)")
-    p.add_argument("--period", type=int, help="iterations between label replacements")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int, help="epoch shuffle seed")
-    p.add_argument("--ipc-gamma-ent", type=float)
-    p.add_argument("--eac-gamma-ent", type=float)
-    p.add_argument("--eac-lr", type=float)
-    p.add_argument("--eac-steps", type=int)
-    p.add_argument("--val-batch", type=int)
-    p.add_argument("--init-scale", type=float)
-    p.add_argument("--blend-space", choices=["logit", "probability"])
-    p.add_argument("--hard-targets", action=boolopt, default=None)
-    p.add_argument("--bias", action=boolopt, default=None, help="classifier bias term")
-    p.add_argument("--normalize-features", action=boolopt, default=None)
-    p.add_argument("--normalize-gram", action=boolopt, default=None)
-    p.add_argument("--add-bias", action=boolopt, default=None, help="append a constant-1 feature column")
-    p.add_argument("--ipc", action=boolopt, default=None, help="enable the ridge corrector")
-    p.add_argument("--eac", action=boolopt, default=None, help="enable the classifier corrector")
-    p.add_argument("--threads", help="BLAS thread count (set before numpy loads)")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_purify)
-
-    p = sub.add_parser("retrain", help="train a linear head with cross entropy")
-    p.add_argument("--config")
-    p.add_argument("--features")
-    p.add_argument("--labels")
-    p.add_argument("--soft-logits", help="train on soft labels from this logits file instead")
-    p.add_argument("--alpha", type=float, help="softmax scaling for --soft-logits")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--out-model")
-    p.add_argument("--threads")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_retrain)
-
-    p = sub.add_parser("eval", help="held-out accuracy of a trained head")
-    p.add_argument("--config")
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--labels")
-    p.add_argument("--out-json")
-    p.add_argument("--threads")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("report", help="flatten a JSON-lines report to CSV")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--csv", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_report)
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.replay:
+            p.add_argument("--config", help=cmd.config_help)
+        for opt in cmd.options:
+            if opt.type is bool:
+                kind = {"action": argparse.BooleanOptionalAction, "default": None}
+            else:
+                kind = {"type": opt.type, "choices": opt.choices}
+            p.add_argument(opt.flag, dest=_dest(opt), help=opt.help, required=opt.required and not cmd.replay, **kind)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
     """Route argv to a subcommand; 0 on success, 2 on usage error, 1 on failure."""
-    _apply_threads(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
-    if not hasattr(args, "func"):
+    except SystemExit as exc:  # argparse exits with 0 after --help, 2 on a usage error
+        return exc.code
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        args.func(args)
+        cfg = _resolve(args)
+        primary, inputs, outputs, seeds = _COMMANDS[args.command].func(cfg)
+        manifest = cfg.get("manifest") or f"{primary}.manifest.json"
+        _write_manifest(manifest, args.command, cfg, inputs, outputs, seeds)
         return 0
     except Exception as exc:
         print(f"labelpure: error: {exc}", file=sys.stderr)

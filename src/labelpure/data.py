@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -137,16 +138,16 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def softmax_entropy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shannon entropy (nats) of softmax(x) per row and its gradient w.r.t. x.
+def softmax_entropy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise ``(log q, q, H, dH/dx)`` for q = softmax(x), from one log-softmax.
 
-    With q = softmax(x) and H = -sum(q log q), the gradient of H w.r.t. x is
-    -q * (log q + H).
+    H = -sum(q log q) is the Shannon entropy in nats, and its gradient w.r.t.
+    x is -q * (log q + H).
     """
     logq = log_softmax(x)
     q = np.exp(logq)
     h = -(q * logq).sum(axis=-1)
-    return h, -q * (logq + h[..., None])
+    return logq, q, h, -q * (logq + h[..., None])
 
 
 def one_hot(labels: HardLabels) -> np.ndarray:
@@ -247,7 +248,12 @@ def _load_features_binary(path: Path) -> FeatureMatrix:
     return FeatureMatrix(flat.astype(np.float64).reshape(rows, dim))
 
 
-def _load_features_csv(path: Path) -> FeatureMatrix:
+def _read_csv_rows(path: Path, row_ok: Callable[[list[float]], bool], problem: str, what: str) -> np.ndarray:
+    """Parse equal-width rows of comma-separated floats, skipping blank lines.
+
+    A row failing ``row_ok`` is reported as ``problem`` at its line; an empty
+    file as "no ``what`` rows".
+    """
     rows: list[list[float]] = []
     width = None
     with path.open("r", encoding="utf-8") as fh:
@@ -265,12 +271,16 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
                 raise FormatError(
                     f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
                 )
-            if not all(np.isfinite(row)):
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
+            if not row_ok(row):
+                raise FormatError(f"{path}: line {lineno}: {problem}")
             rows.append(row)
     if not rows:
-        raise FormatError(f"{path}: no data rows")
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64))
+        raise FormatError(f"{path}: no {what} rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _load_features_csv(path: Path) -> FeatureMatrix:
+    return FeatureMatrix(_read_csv_rows(path, lambda row: all(np.isfinite(row)), "non-finite value", "data"))
 
 
 def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
@@ -310,27 +320,8 @@ def write_onehot_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 def load_onehot_csv(path: str | Path) -> np.ndarray:
     """Read a CSV one-hot label matrix, enforcing exact one-hot rows."""
-    path = Path(path)
-    rows: list[list[float]] = []
-    width = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(part) for part in line.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-                )
-            if any(v not in (0.0, 1.0) for v in row) or sum(row) != 1.0:
-                raise FormatError(f"{path}: line {lineno}: not a one-hot row")
-            rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: no label rows")
-    return np.asarray(rows, dtype=np.float64)
+
+    def one_hot_row(row: list[float]) -> bool:
+        return all(v in (0.0, 1.0) for v in row) and sum(row) == 1.0
+
+    return _read_csv_rows(Path(path), one_hot_row, "not a one-hot row", "label")

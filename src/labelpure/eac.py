@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import log_softmax
+from .data import softmax_entropy
 from .errors import NumericError
 
 _BLEND_SPACES = ("logit", "probability")
@@ -139,18 +139,24 @@ def _check_targets(logits: np.ndarray, targets: np.ndarray) -> None:
         raise ValueError("target rows must be probability vectors summing to 1")
 
 
+def _loss_and_logit_gradient(
+    logits: np.ndarray, targets: np.ndarray, gamma_ent: float
+) -> tuple[float, np.ndarray]:
+    """Mean cross entropy plus gamma_ent * entropy, and its gradient w.r.t. the logits."""
+    _check_targets(logits, targets)
+    logq, q, entropy, d_entropy = softmax_entropy(logits)
+    ce = -(targets * logq).sum(axis=1)
+    loss = float((ce + gamma_ent * entropy).mean())
+    # d/dlogits of mean CE is (q - t)/m
+    return loss, (q - targets + gamma_ent * d_entropy) / logits.shape[0]
+
+
 def eac_loss(logits: np.ndarray, targets: np.ndarray, gamma_ent: float = 1.0) -> float:
     """Soft-target cross entropy plus entropy of the predictions, mean over rows."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_targets(logits, targets)
     if gamma_ent < 0:
         raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
-    logq = log_softmax(logits)
-    q = np.exp(logq)
-    ce = -(targets * logq).sum(axis=1)
-    entropy = -(q * logq).sum(axis=1)
-    return float((ce + gamma_ent * entropy).mean())
+    logits = np.asarray(logits, dtype=np.float64)
+    return _loss_and_logit_gradient(logits, np.asarray(targets, dtype=np.float64), gamma_ent)[0]
 
 
 def eac_gradients(
@@ -163,16 +169,7 @@ def eac_gradients(
     """Loss plus its analytic gradients w.r.t. classifier weights and bias."""
     F = np.asarray(F, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    logits = classifier_forward(clf, F)
-    _check_targets(logits, targets)
-    m = F.shape[0]
-    logq = log_softmax(logits)
-    q = np.exp(logq)
-    ce = -(targets * logq).sum(axis=1)
-    entropy = -(q * logq).sum(axis=1)
-    loss = float((ce + gamma_ent * entropy).mean())
-    # d/dlogits of mean CE is (q - t)/m; the entropy term adds -q(log q + H)/m
-    grad_logits = (q - targets - gamma_ent * q * (logq + entropy[:, None])) / m
+    loss, grad_logits = _loss_and_logit_gradient(classifier_forward(clf, F), targets, gamma_ent)
     grad_w = F.T @ grad_logits + weight_decay * clf.weights
     grad_b = grad_logits.sum(axis=0)
     return loss, grad_w, grad_b

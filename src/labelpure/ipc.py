@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import CleanValidationSet, log_softmax, softmax, softmax_entropy
+from .data import softmax, softmax_entropy
 from .errors import NumericError
 
 
@@ -113,7 +113,7 @@ def validation_loss(pred: np.ndarray, Y_v: np.ndarray, gamma_ent: float = 1.0) -
         raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
     n_v = pred.shape[0]
     sq = float(((pred - Y_v) ** 2).sum()) / n_v
-    entropy, _ = softmax_entropy(pred)
+    _, _, entropy, _ = softmax_entropy(pred)
     return sq + gamma_ent * float(entropy.sum()) / n_v
 
 
@@ -141,24 +141,14 @@ def loss_and_label_gradient(
     P = M @ S
     n_v = F_v.shape[0]
 
-    logq = log_softmax(P)
-    q = np.exp(logq)
-    entropy = -(q * logq).sum(axis=1)
+    _, _, entropy, d_entropy = softmax_entropy(P)
     loss = (float(((P - Y_v) ** 2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
 
-    grad_pred = (2.0 * (P - Y_v) - cfg.gamma_ent * q * (logq + entropy[:, None])) / n_v
+    grad_pred = (2.0 * (P - Y_v) + cfg.gamma_ent * d_entropy) / n_v
     grad_soft = M.T @ grad_pred
     inner = (S * grad_soft).sum(axis=1, keepdims=True)
     grad = cfg.alpha * S * (grad_soft - inner)
     return loss, grad
-
-
-def label_gradient(
-    F_t: np.ndarray, Y_t: np.ndarray, val: CleanValidationSet, cfg: IpcConfig
-) -> np.ndarray:
-    """Gradient of the validation loss w.r.t. the batch label logits."""
-    _, grad = loss_and_label_gradient(F_t, Y_t, val.features.values, val.labels, cfg)
-    return grad
 
 
 def ipc_step(Y_rows: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:

@@ -16,33 +16,6 @@ from .data import FeatureMatrix, HardLabels
 # truck->automobile, bird->airplane, deer->horse, cat<->dog.
 CIFAR10_CLASS_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
 
-_NOISE_KINDS = ("symmetric", "asymmetric")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Label corruption recipe.
-
-    ``exact_count`` switches from per-sample Bernoulli flips to flipping an
-    exact rounded count, for fixed-ratio benchmark reproduction.
-    """
-
-    kind: str
-    ratio: float
-    class_map: dict[int, int] | None = None
-    seed: int = 0
-    exact_count: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"noise ratio must lie in [0, 1], got {self.ratio}")
-        if self.kind == "asymmetric":
-            if not self.class_map:
-                raise ValueError("asymmetric noise requires a class map")
-            _check_class_map(self.class_map)
-
 
 def _check_class_map(class_map: dict[int, int]) -> None:
     for src, dst in class_map.items():

@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from labelpure.cli import dispatch, load_manifest
+from labelpure.cli import _COMMANDS, _THREAD_ENV_VARS, _defaults, build_parser, dispatch, load_manifest
 from labelpure.data import load_hard_labels
 from labelpure.purifier import load_report
 
@@ -323,3 +327,170 @@ def test_purify_requires_out_labels(tmp_path, capsys):
     code = dispatch(["purify", "--features", "x", "--labels", "y", "--val-features", "z", "--val-labels", "w"])
     assert code == 1
     assert "out-labels" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- option tables
+
+
+_OPTION_STRINGS = {
+    "synth": """--config --n --dim --classes --separation --seed --out-features --out-labels --n-val
+        --out-val-features --out-val-labels --n-test --out-test-features --out-test-labels --manifest""",
+    "corrupt": """--config --labels --kind --ratio --map --seed --classes --exact-count --no-exact-count
+        --out --manifest""",
+    "purify": """--config --features --labels --val-features --val-labels --truth --out-labels --out-logits
+        --report --alpha --lambda --eta-i --eta-e --period --batch --epochs --seed --ipc-gamma-ent
+        --eac-gamma-ent --eac-lr --eac-steps --val-batch --init-scale --blend-space --hard-targets
+        --no-hard-targets --bias --no-bias --normalize-features --no-normalize-features --normalize-gram
+        --no-normalize-gram --add-bias --no-add-bias --ipc --no-ipc --eac --no-eac --threads --manifest""",
+    "retrain": """--config --features --labels --soft-logits --alpha --epochs --batch --lr --seed
+        --weight-decay --out-model --threads --manifest""",
+    "eval": "--config --model --features --labels --out-json --threads --manifest",
+    "report": "--in --csv --manifest",
+}
+
+
+def test_option_strings_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: set(text.split()) for name, text in _OPTION_STRINGS.items()}
+
+
+def _lookup(tree, dotted):
+    for key in dotted.split("."):
+        tree = tree[key]
+    return tree
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_option_key_is_in_the_default_tree(command):
+    defaults = _defaults(command)
+    options = _COMMANDS[command].options
+    assert len({opt.key for opt in options}) == len(options), "two flags set one key"
+    for opt in options:
+        _lookup(defaults, opt.key)  # raises KeyError for a key the tree lacks
+        if "." in opt.key:
+            assert opt.default is None, f"{opt.flag}: nested defaults come from the config dataclass"
+
+
+def _flatten(tree, prefix=""):
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _other_value(opt, current):
+    """Command-line words that set ``opt`` to something other than ``current``."""
+    if opt.type is bool:
+        return [f"--no-{opt.flag[2:]}"] if current else [opt.flag]
+    if opt.choices:
+        return [opt.flag, next(c for c in opt.choices if c != current)]
+    if opt.type is str:
+        return [opt.flag, f"{current}-other"]
+    return [opt.flag, str(opt.type((current or 0) + 3))]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_each_flag_sets_exactly_its_key_in_the_manifest(command, tmp_path, monkeypatch):
+    cmd = _COMMANDS[command]
+    primary = tmp_path / "primary"
+    monkeypatch.setitem(_COMMANDS, command, cmd._replace(func=lambda cfg: (str(primary), {}, {}, {})))
+    defaults = _defaults(command)
+    base = [command]
+    for opt in cmd.options:
+        if opt.required:
+            base += _other_value(opt, defaults[opt.key])
+    assert dispatch(base) == 0
+    before = _flatten(load_manifest(f"{primary}.manifest.json").config)
+    for opt in cmd.options:
+        if opt.key == "manifest":
+            words = [opt.flag, str(tmp_path / "elsewhere.json")]
+        else:
+            words = _other_value(opt, before[opt.key])
+        assert dispatch(base + words) == 0
+        written = words[1] if opt.key == "manifest" else f"{primary}.manifest.json"
+        after = _flatten(load_manifest(written).config)
+        changed = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
+        assert changed == {opt.key}, opt.flag
+
+
+# A purify manifest exactly as the first release wrote it (key order included),
+# for inputs made below with the same relative paths.
+_SEED_FORMAT_MANIFEST = """{
+  "command": "purify", "artifact_version": "0.1.0", "created_utc": "2026-10-17T22:35:18.659979+00:00",
+  "config": {
+    "version": 1, "features": "f.bin", "labels": "noisy.txt", "val_features": "vf.bin",
+    "val_labels": "vy.csv", "truth": null, "out_labels": "pure.txt", "out_logits": "logits.bin",
+    "report": null, "manifest": null, "threads": null,
+    "purifier": {
+      "ipc": {"alpha": 1.0, "lam": 1.0, "eta": 0.01, "gamma_ent": 1.0, "val_batch": null, "normalize_gram": false},
+      "eac": {"eta": 1.0, "period": 10, "gamma_ent": 1.0, "lr": 0.001, "beta1": 0.9, "beta2": 0.999,
+              "eps": 1e-08, "seed": 0, "blend_space": "logit", "hard_targets": false, "use_bias": true},
+      "batch_size": 64, "epochs": 5, "shuffle_seed": 0, "init_scale": 1.0, "normalize_features": false,
+      "add_bias_feature": false, "use_ipc": true, "use_eac": true, "eac_steps_per_iter": 1
+    }
+  },
+  "inputs": {
+    "features": {"path": "f.bin", "sha256": "6cdc33fe465538a3c45c66c1826d88b00ffa3dc68eac591b0bd46daba1323ed7"},
+    "labels": {"path": "noisy.txt", "sha256": "0326b69a076295208e74c68a3e8a68fc363158300943e23a1bc5228445f747ec"},
+    "val_features": {"path": "vf.bin", "sha256": "82e9a3a5ca3666346dfb2b3224a07a86c59146f97260848c18d5f04e43bcc00e"},
+    "val_labels": {"path": "vy.csv", "sha256": "be76215af3645e5063e0303fbb8aafaaeae58d3448fb5ad30fa2db080c9211fb"}
+  },
+  "outputs": {"labels": "pure.txt", "logits": "logits.bin"},
+  "seeds": {"shuffle_seed": 0, "eac_seed": 0}
+}
+"""
+
+
+def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch([
+        "synth", "--n", "200", "--dim", "16", "--classes", "4", "--separation", "8", "--seed", "3",
+        "--out-features", "f.bin", "--out-labels", "y.txt",
+        "--n-val", "40", "--out-val-features", "vf.bin", "--out-val-labels", "vy.csv",
+    ]) == 0
+    assert dispatch(["corrupt", "--labels", "y.txt", "--ratio", "0.4", "--seed", "2", "--out", "noisy.txt"]) == 0
+    Path("seed.json").write_text(_SEED_FORMAT_MANIFEST)
+    assert dispatch(["purify", "--config", "seed.json"]) == 0
+    replayed = load_manifest("pure.txt.manifest.json")
+    assert replayed.config == json.loads(_SEED_FORMAT_MANIFEST)["config"]
+    assert dispatch([
+        "purify", "--features", "f.bin", "--labels", "noisy.txt", "--val-features", "vf.bin",
+        "--val-labels", "vy.csv", "--epochs", "5", "--batch", "64", "--period", "10",
+        "--out-labels", "flags.txt", "--out-logits", "flags.bin",
+    ]) == 0
+    assert Path("pure.txt").read_bytes() == Path("flags.txt").read_bytes()
+    assert Path("logits.bin").read_bytes() == Path("flags.bin").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_threads_pin_blas_before_numpy_loads(tmp_path, source):
+    _synth(tmp_path, n=60, n_val=0, n_test=0)
+    config = {
+        "version": 1, "features": str(tmp_path / "f.bin"), "labels": str(tmp_path / "y.txt"),
+        "out_model": str(tmp_path / "m.json"), "train": {"epochs": 1},
+    }
+    args = ["retrain", "--config", str(tmp_path / "cfg.json")]
+    if source == "config":
+        config["threads"] = "1"
+    else:
+        args += ["--threads", "1"]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    script = (
+        "import os, sys\n"
+        "from labelpure.cli import dispatch\n"
+        "assert 'numpy' not in sys.modules\n"
+        "code = dispatch(sys.argv[1:])\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
+    out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["0", "1"]
+    assert load_manifest(tmp_path / "m.json.manifest.json").config["threads"] == "1"

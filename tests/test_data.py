@@ -1,3 +1,4 @@
+import re
 import struct
 
 import mpmath
@@ -260,6 +261,26 @@ def test_csv_errors_name_lines(tmp_path):
     path.write_text("1.0,inf\n")
     with pytest.raises(FormatError, match="line 1"):
         load_features(path, format="csv")
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (lambda p: load_features(p, format="csv"), "1.0,2.0\n\n1.0\n", "line 3: expected 2 columns, got 1"),
+        (lambda p: load_features(p, format="csv"), "1.0,nan\n", "line 1: non-finite value"),
+        (lambda p: load_features(p, format="csv"), "\n\n", "no data rows"),
+        (lambda p: load_features(p, format="csv"), "1,x\n", "line 1: could not convert"),
+        (load_onehot_csv, "1,0\n0,1,0\n", "line 2: expected 2 columns, got 3"),
+        (load_onehot_csv, "1,0\n1,1\n", "line 2: not a one-hot row"),
+        (load_onehot_csv, "", "no label rows"),
+        (load_onehot_csv, "0,x\n", "line 1: could not convert"),
+    ],
+)
+def test_csv_loaders_error_messages(tmp_path, loader, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
+        loader(path)
 
 
 def test_unknown_format_rejected(tmp_path):

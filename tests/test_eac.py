@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from labelpure.data import HardLabels, one_hot, softmax
+from labelpure.data import HardLabels, log_softmax, one_hot, softmax
 from labelpure.eac import (
     AdamState,
     EacConfig,
@@ -114,6 +114,27 @@ def test_gradients_include_weight_decay():
 
 
 # ---------------------------------------------------------------- training
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_gradients_bitwise_equal_to_written_out_algebra(gamma):
+    # Reference: the loss and gradient spelled out term by term, as they were
+    # before the entropy algebra moved into softmax_entropy. Purification runs
+    # at gamma 1 and retraining at gamma 0, so their outputs depend on this.
+    rng = np.random.default_rng(21)
+    clf = LinearClassifier(rng.normal(size=(5, 4)), rng.normal(size=4))
+    F = rng.normal(size=(32, 5))
+    targets = softmax(rng.normal(size=(32, 4)))
+    loss, grad_w, grad_b = eac_gradients(clf, F, targets, gamma, weight_decay=0.01)
+
+    logq = log_softmax(F @ clf.weights + clf.bias)
+    q = np.exp(logq)
+    entropy = -(q * logq).sum(axis=1)
+    ref_loss = float((-(targets * logq).sum(axis=1) + gamma * entropy).mean())
+    grad_logits = (q - targets - gamma * q * (logq + entropy[:, None])) / 32
+    assert loss == ref_loss == eac_loss(F @ clf.weights + clf.bias, targets, gamma)
+    assert np.array_equal(grad_w, F.T @ grad_logits + 0.01 * clf.weights)
+    assert np.array_equal(grad_b, grad_logits.sum(axis=0))
 
 
 def test_train_step_zero_lr_keeps_classifier():

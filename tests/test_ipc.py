@@ -2,13 +2,13 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 
-from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax
+from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, log_softmax, one_hot, softmax
 from labelpure.errors import NumericError
 from labelpure.ipc import (
     IpcConfig,
     ipc_step,
-    label_gradient,
     loss_and_label_gradient,
     ridge_fit,
     ridge_predict,
@@ -183,7 +183,8 @@ def test_label_gradient_vanishes_as_alpha_goes_to_zero():
     F_t = rng.normal(size=(6, 4))
     Y_t = rng.normal(size=(6, 3))
     val = _random_val_set(rng, 5, 4, 3)
-    grad = label_gradient(F_t, Y_t, val, IpcConfig(alpha=1e-8, lam=1.0))
+    cfg = IpcConfig(alpha=1e-8, lam=1.0)
+    _, grad = loss_and_label_gradient(F_t, Y_t, val.features.values, val.labels, cfg)
     assert np.linalg.norm(grad) < 1e-6
 
 
@@ -262,15 +263,39 @@ def test_small_step_does_not_increase_loss():
     assert checked >= 15
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_label_gradient_bitwise_equal_to_written_out_algebra(gamma):
+    # Reference: the chain rule spelled out term by term, as it was before the
+    # entropy algebra moved into softmax_entropy; purification depends on it.
+    rng = np.random.default_rng(13)
+    F_t, Y_t = rng.normal(size=(16, 5)), rng.normal(size=(16, 3))
+    val = _random_val_set(rng, 10, 5, 3)
+    F_v, Y_v = val.features.values, val.labels
+    cfg = IpcConfig(alpha=1.5, lam=0.5, gamma_ent=gamma)
+    loss, grad = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
+
+    M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + cfg.lam * np.eye(5), lower=True), F_t.T)
+    S = softmax(cfg.alpha * Y_t)
+    P = M @ S
+    logq = log_softmax(P)
+    q = np.exp(logq)
+    entropy = -(q * logq).sum(axis=1)
+    ref_loss = (float(((P - Y_v) ** 2).sum()) + gamma * float(entropy.sum())) / 10
+    grad_soft = M.T @ ((2.0 * (P - Y_v) - gamma * q * (logq + entropy[:, None])) / 10)
+    ref_grad = cfg.alpha * S * (grad_soft - (S * grad_soft).sum(axis=1, keepdims=True))
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
 def test_label_gradient_permutation_equivariance():
     rng = np.random.default_rng(11)
     F_t = rng.normal(size=(9, 4))
     Y_t = rng.normal(size=(9, 3))
     val = _random_val_set(rng, 6, 4, 3)
     cfg = IpcConfig()
-    grad = label_gradient(F_t, Y_t, val, cfg)
+    _, grad = loss_and_label_gradient(F_t, Y_t, val.features.values, val.labels, cfg)
     perm = rng.permutation(9)
-    grad_perm = label_gradient(F_t[perm], Y_t[perm], val, cfg)
+    _, grad_perm = loss_and_label_gradient(F_t[perm], Y_t[perm], val.features.values, val.labels, cfg)
     assert np.abs(grad_perm - grad[perm]).max() < 1e-12
 
 

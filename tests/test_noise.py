@@ -5,7 +5,6 @@ from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
 from labelpure.noise import (
     CIFAR10_CLASS_MAP,
     MixtureSpec,
-    NoiseSpec,
     gen_gaussian_mixture,
     gen_gaussian_mixture_split,
     inject_asymmetric,
@@ -204,17 +203,6 @@ def test_asymmetric_rejects_self_map():
         inject_asymmetric(labels, 0.5, {1: 1}, seed=0)
     with pytest.raises(ValueError):
         inject_asymmetric(labels, 0.5, {0: 9}, seed=0)
-
-
-def test_noise_spec_validation():
-    NoiseSpec("symmetric", 0.5)
-    NoiseSpec("asymmetric", 0.5, class_map={0: 1})
-    with pytest.raises(ValueError):
-        NoiseSpec("weird", 0.5)
-    with pytest.raises(ValueError):
-        NoiseSpec("symmetric", -0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec("asymmetric", 0.5)
 
 
 # ---------------------------------------------------------------- accuracy
