@@ -3,9 +3,10 @@
 Each subcommand has one option table in ``_COMMANDS``; each row is a flag and
 the one config key it sets (dotted when nested). The defaults, the argparse
 arguments and the flag resolution all derive from it. The ``purifier`` and
-``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``; their
-keys without a flag (``eac.beta1/beta2/eps/seed``, ``train.beta1/beta2/eps``)
-are set only through ``--config``.
+``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``, and
+every key of every command has exactly one flag. Keys that older releases
+wrote (``purifier.eac.beta1/beta2/eps/seed``, ``train.beta1/beta2/eps``) are
+dropped from ``--config`` files when replaying them cannot change a run.
 
 Every run resolves its full configuration (defaults < config file < flags)
 and ``dispatch`` writes a manifest recording the resolved config, input
@@ -22,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -32,6 +33,10 @@ _THREAD_ENV_VARS = (
 )
 
 _REPLAY_HELP = "JSON config file or manifest to replay"
+
+# Adam's constants in ``labelpure.eac``, which older config files and
+# manifests carry as keys; they replay only at these values.
+_RETIRED_ADAM_KEYS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,13 @@ def _load_config_file(path: str | Path) -> dict:
     version = data.get("version", 1)
     if version != 1:
         raise ValueError(f"{path}: unsupported config version {version}")
+    eac = data.get("purifier", {}).get("eac", {})
+    eac.pop("seed", None)  # never reached the loop, so any value replays
+    for prefix, tree in (("purifier.eac", eac), ("train", data.get("train", {}))):
+        for key, ran_with in _RETIRED_ADAM_KEYS.items():
+            value = tree.pop(key, ran_with)
+            if value != ran_with:
+                raise ValueError(f"{path}: {prefix}.{key} = {value} is no longer configurable (Adam uses {ran_with})")
     return data
 
 
@@ -346,8 +358,7 @@ def _cmd_purify(cfg: dict) -> tuple:
     if "final_accuracy" in rep.summary:
         tail = f", accuracy {rep.summary['initial_accuracy']:.4f} -> {rep.summary['final_accuracy']:.4f}"
     print(f"purify: {rep.summary['iterations']} iterations{tail} -> {cfg['out_labels']}")
-    seeds = {"shuffle_seed": cfg["purifier"]["shuffle_seed"], "eac_seed": cfg["purifier"]["eac"]["seed"]}
-    return cfg["out_labels"], inputs, outputs, seeds
+    return cfg["out_labels"], inputs, outputs, {"shuffle_seed": cfg["purifier"]["shuffle_seed"]}
 
 
 # ---------------------------------------------------------------- retrain
@@ -416,7 +427,9 @@ def _cmd_eval(cfg: dict) -> tuple:
 
     clf = load_classifier(cfg["model"])
     features = data.load_features(cfg["features"])
-    labels = data.load_hard_labels(cfg["labels"], clf.n_classes)
+    # Not clf.n_classes: a head retrained on labels that lost the top class is
+    # narrower than the test labels; rows of a class it lacks count as misses.
+    labels = data.load_hard_labels(cfg["labels"])
     metrics = {"accuracy": evaluate_classifier(clf, features, labels), "n": features.n}
     print(json.dumps(metrics))
     outputs = {}
@@ -440,19 +453,16 @@ _REPORT_OPTIONS = (
 def _cmd_report(cfg: dict) -> tuple:
     import csv
 
-    from .purifier import load_report
+    from .purifier import IterationRecord, load_report
 
     def cell(value):
-        return "" if value is None else value
+        return "" if value is None else int(value) if isinstance(value, bool) else value
 
     rep = load_report(cfg["in"])
     with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "epoch", "val_loss", "grad_norm", "eac_update", "acc"])
-        for rec in rep.records:
-            writer.writerow(
-                [rec.p, rec.epoch, cell(rec.val_loss), cell(rec.grad_norm), int(rec.eac_update), cell(rec.acc)]
-            )
+        writer.writerow([f.name for f in fields(IterationRecord)])
+        writer.writerows([cell(v) for v in astuple(rec)] for rec in rep.records)
     print(f"report: {len(rep.records)} records -> {cfg['csv']}")
     return cfg["csv"], {"report": cfg["in"]}, {"csv": cfg["csv"]}, {}
 

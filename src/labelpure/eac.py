@@ -13,6 +13,11 @@ from .errors import NumericError
 
 _BLEND_SPACES = ("logit", "probability")
 
+# Adam's moment decay rates and denominator floor.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LinearClassifier:
@@ -53,18 +58,14 @@ class EacConfig:
     ``eta`` is the blend momentum of the periodic label replacement (1.0
     replaces outright), ``period`` the number of iterations between
     replacements. ``blend_space`` selects whether the blend happens on raw
-    logits or on the softmax probabilities. ``seed`` is reserved for
-    stochastic initializations; the default zero init needs no randomness.
+    logits or on the softmax probabilities. ``lr`` is the classifier's Adam
+    step size; the classifier starts at zero, so nothing here is random.
     """
 
     eta: float = 1.0
     period: int = 50
     gamma_ent: float = 1.0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
     blend_space: str = "logit"
     hard_targets: bool = False
     use_bias: bool = True
@@ -87,9 +88,6 @@ class AdamState:
     """Adaptive-moment optimizer state for a LinearClassifier."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m_w: np.ndarray | None = None
     v_w: np.ndarray | None = None
@@ -97,30 +95,15 @@ class AdamState:
     v_b: np.ndarray | None = None
 
     @classmethod
-    def init(
-        cls,
-        dim: int,
-        n_classes: int,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def init(cls, dim: int, n_classes: int, lr: float = 1e-3) -> "AdamState":
         return cls(
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             step=0,
             m_w=np.zeros((dim, n_classes)),
             v_w=np.zeros((dim, n_classes)),
             m_b=np.zeros(n_classes),
             v_b=np.zeros(n_classes),
         )
-
-    @classmethod
-    def for_config(cls, dim: int, n_classes: int, cfg: EacConfig) -> "AdamState":
-        return cls.init(dim, n_classes, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
 
 def classifier_forward(clf: LinearClassifier, F: np.ndarray) -> np.ndarray:
@@ -190,15 +173,15 @@ def eac_train_step(
     if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):
         raise NumericError("non-finite classifier gradient")
     step = opt.step + 1
-    m_w = opt.beta1 * opt.m_w + (1 - opt.beta1) * grad_w
-    v_w = opt.beta2 * opt.v_w + (1 - opt.beta2) * grad_w**2
-    m_b = opt.beta1 * opt.m_b + (1 - opt.beta1) * grad_b
-    v_b = opt.beta2 * opt.v_b + (1 - opt.beta2) * grad_b**2
-    bias_c1 = 1 - opt.beta1**step
-    bias_c2 = 1 - opt.beta2**step
-    new_w = clf.weights - opt.lr * (m_w / bias_c1) / (np.sqrt(v_w / bias_c2) + opt.eps)
+    m_w = _BETA1 * opt.m_w + (1 - _BETA1) * grad_w
+    v_w = _BETA2 * opt.v_w + (1 - _BETA2) * grad_w**2
+    m_b = _BETA1 * opt.m_b + (1 - _BETA1) * grad_b
+    v_b = _BETA2 * opt.v_b + (1 - _BETA2) * grad_b**2
+    bias_c1 = 1 - _BETA1**step
+    bias_c2 = 1 - _BETA2**step
+    new_w = clf.weights - opt.lr * (m_w / bias_c1) / (np.sqrt(v_w / bias_c2) + _EPS)
     if update_bias:
-        new_b = clf.bias - opt.lr * (m_b / bias_c1) / (np.sqrt(v_b / bias_c2) + opt.eps)
+        new_b = clf.bias - opt.lr * (m_b / bias_c1) / (np.sqrt(v_b / bias_c2) + _EPS)
     else:
         new_b = clf.bias
     new_clf = LinearClassifier(new_w, new_b)

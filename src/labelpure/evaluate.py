@@ -19,9 +19,6 @@ class TrainConfig:
     epochs: int = 100
     batch: int = 256
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     weight_decay: float = 0.0
 
@@ -41,7 +38,7 @@ def train_linear_on_targets(
         raise ValueError(f"{features.n} feature rows vs target shape {targets.shape}")
     F = features.values
     clf = LinearClassifier.zeros(features.dim, targets.shape[1])
-    opt = AdamState.init(features.dim, targets.shape[1], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = AdamState.init(features.dim, targets.shape[1], cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         perm = rng.permutation(features.n)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +128,7 @@ def purify(
 
     Y = np.array(init_logits(noisy, cfg.init_scale).values)
     clf = LinearClassifier.zeros(F_t.shape[1], c)
-    opt = AdamState.for_config(F_t.shape[1], c, cfg.eac)
+    opt = AdamState.init(F_t.shape[1], c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
     n_v = F_v.shape[0]
@@ -210,15 +210,9 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in report.records:
-            row = {
-                "p": rec.p,
-                "epoch": rec.epoch,
-                "val_loss": rec.val_loss,
-                "grad_norm": rec.grad_norm,
-                "eac_update": rec.eac_update,
-            }
-            if rec.acc is not None:
-                row["acc"] = rec.acc
+            row = asdict(rec)
+            if rec.acc is None:
+                del row["acc"]
             fh.write(json.dumps(row) + "\n")
         fh.write(json.dumps({"summary": report.summary}) + "\n")
 
@@ -236,16 +230,7 @@ def load_report(path: str | Path) -> CorrectionReport:
             if "summary" in row:
                 summary = row["summary"]
             else:
-                records.append(
-                    IterationRecord(
-                        p=row["p"],
-                        epoch=row["epoch"],
-                        val_loss=row["val_loss"],
-                        grad_norm=row["grad_norm"],
-                        eac_update=row["eac_update"],
-                        acc=row.get("acc"),
-                    )
-                )
+                records.append(IterationRecord(**row))
     if summary is None:
         raise ValueError(f"{path}: missing summary line")
     return CorrectionReport(records=records, summary=summary)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelpure.cli import _COMMANDS, _THREAD_ENV_VARS, _defaults, build_parser, dispatch, load_manifest
-from labelpure.data import load_hard_labels
-from labelpure.purifier import load_report
+from labelpure import eac
+from labelpure.cli import (
+    _COMMANDS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch, load_manifest
+)
+from labelpure.data import load_features, load_hard_labels
+from labelpure.evaluate import load_classifier
+from labelpure.purifier import CorrectionReport, IterationRecord, load_report, save_report
 
 
 def _synth(tmp_path, n=800, dim=16, classes=4, sep=8.0, seed=3, n_val=80, n_test=400):
@@ -127,6 +132,29 @@ def test_report_flattens_to_csv(tmp_path):
     lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
     assert lines[0] == "p,epoch,val_loss,grad_norm,eac_update,acc"
     assert len(lines) == 1 + len(load_report(tmp_path / "rep.jsonl").records)
+
+
+def test_report_files_are_pinned_bytes(tmp_path):
+    report = CorrectionReport(
+        records=[
+            IterationRecord(p=1, epoch=0, val_loss=None, grad_norm=None, eac_update=True),
+            IterationRecord(p=2, epoch=1, val_loss=0.25, grad_norm=1.5, eac_update=False, acc=0.75),
+        ],
+        summary={"schema": 1, "iterations": 2},
+    )
+    save_report(report, tmp_path / "rep.jsonl")
+    assert (tmp_path / "rep.jsonl").read_bytes() == (
+        b'{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update": true}\n'
+        b'{"p": 2, "epoch": 1, "val_loss": 0.25, "grad_norm": 1.5, "eac_update": false, "acc": 0.75}\n'
+        b'{"summary": {"schema": 1, "iterations": 2}}\n'
+    )
+    assert load_report(tmp_path / "rep.jsonl").records == report.records
+    assert dispatch(["report", "--in", str(tmp_path / "rep.jsonl"), "--csv", str(tmp_path / "rep.csv")]) == 0
+    assert (tmp_path / "rep.csv").read_bytes() == (
+        b"p,epoch,val_loss,grad_norm,eac_update,acc\r\n"
+        b"1,0,,,1,\r\n"
+        b"2,1,0.25,1.5,0,0.75\r\n"
+    )
 
 
 # ---------------------------------------------------------------- manifests & replay
@@ -303,6 +331,28 @@ def test_retrain_soft_logits(tmp_path):
     assert (tmp_path / "model.json").exists()
 
 
+def test_eval_scores_rows_of_a_class_the_head_lacks_as_misses(tmp_path, capsys):
+    _synth(tmp_path, n=300, classes=3, n_val=0, n_test=150)
+    labels = load_hard_labels(tmp_path / "y.txt").values
+    (tmp_path / "lost.txt").write_text("".join(f"{min(v, 1)}\n" for v in labels))  # class 2 is gone
+    assert dispatch([
+        "retrain", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "lost.txt"),
+        "--epochs", "5", "--out-model", str(tmp_path / "model.json"),
+    ]) == 0
+    capsys.readouterr()
+    assert dispatch([
+        "eval", "--model", str(tmp_path / "model.json"),
+        "--features", str(tmp_path / "tf.bin"), "--labels", str(tmp_path / "ty.txt"),
+    ]) == 0
+    clf = load_classifier(tmp_path / "model.json")
+    truth = load_hard_labels(tmp_path / "ty.txt")
+    assert (clf.n_classes, truth.n_classes) == (2, 3)
+    pred = np.argmax(load_features(tmp_path / "tf.bin").values @ clf.weights + clf.bias, axis=1)
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert printed["accuracy"] == float(np.mean(pred == truth.values))
+    assert printed["accuracy"] <= float(np.mean(truth.values < 2))
+
+
 def test_purify_probability_blend_flag(tmp_path):
     _synth(tmp_path, n=200, n_val=40, n_test=0)
     assert dispatch([
@@ -373,6 +423,19 @@ def test_every_option_key_is_in_the_default_tree(command):
         _lookup(defaults, opt.key)  # raises KeyError for a key the tree lacks
         if "." in opt.key:
             assert opt.default is None, f"{opt.flag}: nested defaults come from the config dataclass"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_default_key_has_a_flag(command):
+    leaves = set(_flatten(_defaults(command))) - {"version"}
+    assert leaves == {opt.key for opt in _COMMANDS[command].options}
+
+
+def test_readme_purify_config_is_the_default_tree():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    (block,) = [b for b in blocks if "purifier" in b]
+    assert block["purifier"] == _defaults("purify")["purifier"]
 
 
 def _flatten(tree, prefix=""):
@@ -459,7 +522,10 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     Path("seed.json").write_text(_SEED_FORMAT_MANIFEST)
     assert dispatch(["purify", "--config", "seed.json"]) == 0
     replayed = load_manifest("pure.txt.manifest.json")
-    assert replayed.config == json.loads(_SEED_FORMAT_MANIFEST)["config"]
+    expected = json.loads(_SEED_FORMAT_MANIFEST)["config"]
+    for retired in ("beta1", "beta2", "eps", "seed"):
+        del expected["purifier"]["eac"][retired]
+    assert replayed.config == expected
     assert dispatch([
         "purify", "--features", "f.bin", "--labels", "noisy.txt", "--val-features", "vf.bin",
         "--val-labels", "vy.csv", "--epochs", "5", "--batch", "64", "--period", "10",
@@ -467,6 +533,47 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     ]) == 0
     assert Path("pure.txt").read_bytes() == Path("flags.txt").read_bytes()
     assert Path("logits.bin").read_bytes() == Path("flags.bin").read_bytes()
+
+
+def test_legacy_eac_seed_replays_bitwise(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _synth(tmp_path, n=200, n_val=40, n_test=0)
+    legacy = {
+        "version": 1, "features": "f.bin", "labels": "y.txt", "val_features": "vf.bin", "val_labels": "vy.csv",
+        "out_labels": "legacy.txt", "out_logits": "legacy.bin",
+        "purifier": {"epochs": 3, "batch_size": 64, "eac": {
+            "period": 5, "seed": 7, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
+        }},
+    }
+    Path("legacy.json").write_text(json.dumps(legacy))
+    assert dispatch(["purify", "--config", "legacy.json"]) == 0
+    assert dispatch([
+        "purify", "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
+        "--epochs", "3", "--batch", "64", "--period", "5", "--out-labels", "flags.txt", "--out-logits", "flags.bin",
+    ]) == 0
+    assert Path("legacy.txt").read_bytes() == Path("flags.txt").read_bytes()
+    assert Path("legacy.bin").read_bytes() == Path("flags.bin").read_bytes()
+    manifest = load_manifest("legacy.txt.manifest.json")
+    assert "seed" not in manifest.config["purifier"]["eac"]
+    assert manifest.seeds == {"shuffle_seed": 0}
+
+
+@pytest.mark.parametrize("tree", ["purifier.eac", "train"])
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, capsys):
+    def config(value):
+        node = {key: value}
+        for part in reversed(tree.split(".")):
+            node = {part: node}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, **node}))
+        return path
+
+    ran_with = {"beta1": eac._BETA1, "beta2": eac._BETA2, "eps": eac._EPS}[key]
+    assert _lookup(_load_config_file(config(ran_with)), tree) == {}
+    command = "purify" if tree == "purifier.eac" else "retrain"
+    assert dispatch([command, "--config", str(config(ran_with * 1.5))]) == 1
+    assert f"{tree}.{key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
