@@ -6,7 +6,8 @@ arguments and the flag resolution all derive from it. The ``purifier`` and
 ``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``, and
 every key of every command has exactly one flag. Keys that older releases
 wrote (``purifier.eac.beta1/beta2/eps/seed``, ``train.beta1/beta2/eps``) are
-dropped from ``--config`` files when replaying them cannot change a run.
+dropped from ``--config`` files when replaying them cannot change a run; any
+other key a command's defaults lack is an error.
 
 Every run resolves its full configuration (defaults < config file < flags)
 and ``dispatch`` writes a manifest recording the resolved config, input
@@ -117,10 +118,13 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest(**data)
 
 
-def _deep_update(base: dict, overlay: dict) -> dict:
+def _deep_update(base: dict, overlay: dict, source: str | None, prefix: str = "") -> dict:
+    """Overlay ``source``'s config on ``base``, which must have each of its keys."""
     for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+        if key not in base:
+            raise ValueError(f"{source}: unknown config key '{prefix}{key}'")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            _deep_update(base[key], value, source, f"{prefix}{key}.")
         else:
             base[key] = value
     return base
@@ -156,10 +160,11 @@ def _defaults(command: str) -> dict:
 def _resolve(args: argparse.Namespace) -> dict:
     """The run's config: defaults < ``--config`` file < flags, with required keys checked."""
     cmd = _COMMANDS[args.command]
-    overlay = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    source = getattr(args, "config", None)
+    overlay = _load_config_file(source) if source else {}
     # Before _defaults: building the purify/retrain trees imports numpy.
     _apply_threads(getattr(args, "threads", None) or overlay.get("threads"))
-    cfg = _deep_update(_defaults(args.command), overlay)
+    cfg = _deep_update(_defaults(args.command), overlay, source)
     for opt in cmd.options:
         value = getattr(args, _dest(opt))
         if value is None:

@@ -245,7 +245,7 @@ def _load_features_binary(path: Path) -> FeatureMatrix:
     if bad.any():
         idx = int(np.argmax(bad))
         raise FormatError(f"{path}: non-finite value at byte offset {_HEADER.size + idx * 4}")
-    return FeatureMatrix(flat.astype(np.float64).reshape(rows, dim))
+    return FeatureMatrix(flat.reshape(rows, dim))  # converts to float64 once
 
 
 def _read_csv_rows(path: Path, row_ok: Callable[[list[float]], bool], problem: str, what: str) -> np.ndarray:

@@ -59,15 +59,14 @@ class RidgeSolution:
 
 
 def _gram_solver(F_t: np.ndarray, lam: float, normalize_gram: bool):
-    """Cholesky factor of the (possibly batch-normalized) regularized Gram matrix."""
+    """Cholesky factor of F'F + lam I, with lam scaled by b under ``normalize_gram``:
+    (F'F/b + lam I)^{-1} F'/b = (F'F + b lam I)^{-1} F'."""
     b, d = F_t.shape
-    scale = 1.0 / b if normalize_gram else 1.0
-    A = F_t.T @ F_t * scale + lam * np.eye(d)
+    A = F_t.T @ F_t + (lam * b if normalize_gram else lam) * np.eye(d)
     try:
-        factor = cho_factor(A, lower=True)
+        return cho_factor(A, lower=True)
     except LinAlgError as exc:
         raise LinAlgError(f"Gram matrix is singular at lam={lam}: {exc}") from exc
-    return factor, scale
 
 
 def ridge_fit(
@@ -87,9 +86,9 @@ def ridge_fit(
     Y_t = np.asarray(Y_t, dtype=np.float64)
     if F_t.shape[0] != Y_t.shape[0]:
         raise ValueError(f"batch size mismatch: {F_t.shape[0]} feature rows vs {Y_t.shape[0]} logit rows")
-    factor, scale = _gram_solver(F_t, lam, normalize_gram)
+    factor = _gram_solver(F_t, lam, normalize_gram)
     targets = softmax(alpha * Y_t)
-    weights = cho_solve(factor, F_t.T @ targets * scale)
+    weights = cho_solve(factor, F_t.T @ targets)
     return RidgeSolution(weights=weights, lam=lam, alpha=alpha)
 
 
@@ -134,8 +133,8 @@ def loss_and_label_gradient(
     Y_t = np.asarray(Y_t, dtype=np.float64)
     F_v = np.asarray(F_v, dtype=np.float64)
     Y_v = np.asarray(Y_v, dtype=np.float64)
-    factor, scale = _gram_solver(F_t, cfg.lam, cfg.normalize_gram)
-    K = cho_solve(factor, F_t.T) * scale      # d x b, (F'F + lam I)^{-1} F'
+    factor = _gram_solver(F_t, cfg.lam, cfg.normalize_gram)
+    K = cho_solve(factor, F_t.T)              # d x b, (F'F + lam I)^{-1} F'
     M = F_v @ K                               # n_v x b
     S = softmax(cfg.alpha * Y_t)
     P = M @ S

@@ -19,9 +19,9 @@ from .data import (
     HardLabels,
     LabelLogits,
     hard_labels,
-    init_logits,
     l2_normalize_rows,
     logits_from_probabilities,
+    one_hot,
     softmax,
 )
 from .eac import AdamState, EacConfig, LinearClassifier, classifier_forward, eac_label_update, eac_train_step
@@ -60,8 +60,8 @@ class PurifierConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.init_scale > 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
+        if not 0 < self.init_scale < float("inf"):
+            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
         if self.eac_steps_per_iter < 1:
             raise ValueError(f"eac_steps_per_iter must be >= 1, got {self.eac_steps_per_iter}")
         if not (self.use_ipc or self.use_eac):
@@ -126,7 +126,7 @@ def purify(
         F_t = np.hstack([F_t, np.ones((F_t.shape[0], 1))])
         F_v = np.hstack([F_v, np.ones((F_v.shape[0], 1))])
 
-    Y = np.array(init_logits(noisy, cfg.init_scale).values)
+    Y = one_hot(noisy) * cfg.init_scale
     clf = LinearClassifier.zeros(F_t.shape[1], c)
     opt = AdamState.init(F_t.shape[1], c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)

@@ -601,3 +601,22 @@ def test_threads_pin_blas_before_numpy_loads(tmp_path, source):
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[-2:] == ["0", "1"]
     assert load_manifest(tmp_path / "m.json.manifest.json").config["threads"] == "1"
+
+
+@pytest.mark.parametrize("misplaced, dotted", [
+    ({"epochs": 1}, "epochs"),
+    ({"purifier": {"epoch": 1}}, "purifier.epoch"),
+    ({"purifier": {"ipc": {"lambda": 0.5}}}, "purifier.ipc.lambda"),
+])
+def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, capsys):
+    _synth(tmp_path, n=60, n_val=20, n_test=0)
+    config = {
+        "version": 1, "features": str(tmp_path / "f.bin"), "labels": str(tmp_path / "y.txt"),
+        "val_features": str(tmp_path / "vf.bin"), "val_labels": str(tmp_path / "vy.csv"),
+        "out_labels": str(tmp_path / "pure.txt"), **misplaced,
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert dispatch(["purify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: unknown config key '{dotted}'\n"
+    assert not (tmp_path / "pure.txt").exists()

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -191,6 +192,22 @@ def test_binary_round_trip_random(tmp_path):
     path = tmp_path / "f.bin"
     write_features(m, path)
     assert np.array_equal(load_features(path).values, m.values)
+
+
+def test_binary_load_converts_to_float64_once(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "f.bin"
+    write_features(FeatureMatrix(rng.normal(size=(2000, 64)).astype(np.float32)), path)
+    tracemalloc.start()
+    try:
+        m = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.values.dtype == np.float64
+    # f32 file bytes + one float64 copy + the finiteness masks; a second
+    # float64 copy would take the peak past 2x.
+    assert peak < 2 * m.values.nbytes, peak / m.values.nbytes
 
 
 def test_binary_truncated_payload(tmp_path):

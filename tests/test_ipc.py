@@ -87,6 +87,21 @@ def test_ridge_normalized_gram_mode():
     assert np.abs(sol.weights - expected).max() < 1e-10
 
 
+def test_normalized_gram_gradient_matches_the_scaled_system():
+    rng = np.random.default_rng(5)
+    F_t, Y_t = rng.normal(size=(12, 4)), rng.normal(size=(12, 3))
+    F_v, Y_v = rng.normal(size=(6, 4)), one_hot(HardLabels(rng.integers(0, 3, 6), 3))
+    cfg = IpcConfig(lam=0.01, normalize_gram=True)
+    b = F_t.shape[0]
+    loss, _ = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
+    K = np.linalg.solve(F_t.T @ F_t / b + cfg.lam * np.eye(4), F_t.T / b)
+    S = softmax(Y_t)
+    P = F_v @ K @ S
+    q = softmax(P)
+    expected_loss = (((P - Y_v) ** 2).sum() - (q * np.log(q)).sum()) / F_v.shape[0]
+    assert abs(loss - expected_loss) < 1e-12
+
+
 # ---------------------------------------------------------------- ridge_predict
 
 

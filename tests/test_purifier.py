@@ -288,3 +288,10 @@ def test_report_missing_summary_rejected(tmp_path):
 def test_iteration_record_fields():
     rec = IterationRecord(p=1, epoch=0, val_loss=0.5, grad_norm=0.1, eac_update=False)
     assert rec.acc is None
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+def test_init_scale_must_be_finite(scale):
+    # purify scales one-hot rows by it directly, and inf * 0 is NaN.
+    with pytest.raises(ValueError, match="init_scale"):
+        PurifierConfig(init_scale=scale)
