@@ -118,28 +118,53 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest(**data)
 
 
-def _deep_update(base: dict, overlay: dict, source: str | None, prefix: str = "") -> dict:
-    """Overlay ``source``'s config on ``base``, which must have each of its keys."""
+def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, prefix: str = "") -> dict:
+    """Overlay ``source``'s config on ``base``, which must have each of its keys,
+    with each value of the type its flag parses to (``options``, by key)."""
     for key, value in overlay.items():
+        dotted = prefix + key
         if key not in base:
-            raise ValueError(f"{source}: unknown config key '{prefix}{key}'")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            _deep_update(base[key], value, source, f"{prefix}{key}.")
-        else:
-            base[key] = value
+            raise ValueError(f"{source}: unknown config key '{dotted}'")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"{source}: {dotted} must be an object, got {json.dumps(value)}")
+            _deep_update(base[key], value, source, options, dotted + ".")
+            continue
+        opt = options.get(dotted)
+        if opt is not None:
+            _check_value(opt, value, base[key] is None, f"{source}: {dotted}")
+        base[key] = value
     return base
+
+
+def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
+    """Refuse a config value its flag could not have produced. Keys unset by
+    default may be null; a float key takes an int, as JSON writes 1.0 as 1."""
+    if value is None and nullable:
+        return
+    kinds = (int, float) if opt.type is float else opt.type
+    if value is None or not isinstance(value, kinds) or (isinstance(value, bool) and opt.type is not bool):
+        raise ValueError(f"{where} must be {opt.type.__name__}, got {json.dumps(value)}")
+    if opt.choices is not None and value not in opt.choices:
+        raise ValueError(f"{where} must be one of {', '.join(opt.choices)}, got {json.dumps(value)}")
 
 
 def _load_config_file(path: str | Path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "command" in data and "config" in data:  # a manifest: replay its config
+    if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
         data = data["config"]
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a config must be a JSON object")
     version = data.get("version", 1)
     if version != 1:
         raise ValueError(f"{path}: unsupported config version {version}")
-    eac = data.get("purifier", {}).get("eac", {})
-    eac.pop("seed", None)  # never reached the loop, so any value replays
-    for prefix, tree in (("purifier.eac", eac), ("train", data.get("train", {}))):
+    purifier = data.get("purifier")
+    eac = purifier.get("eac") if isinstance(purifier, dict) else None
+    if isinstance(eac, dict):
+        eac.pop("seed", None)  # never reached the loop, so any value replays
+    for prefix, tree in (("purifier.eac", eac), ("train", data.get("train"))):
+        if not isinstance(tree, dict):
+            continue  # _deep_update names the key
         for key, ran_with in _RETIRED_ADAM_KEYS.items():
             value = tree.pop(key, ran_with)
             if value != ran_with:
@@ -164,7 +189,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     overlay = _load_config_file(source) if source else {}
     # Before _defaults: building the purify/retrain trees imports numpy.
     _apply_threads(getattr(args, "threads", None) or overlay.get("threads"))
-    cfg = _deep_update(_defaults(args.command), overlay, source)
+    cfg = _deep_update(_defaults(args.command), overlay, source, {opt.key: opt for opt in cmd.options})
     for opt in cmd.options:
         value = getattr(args, _dest(opt))
         if value is None:
@@ -270,9 +295,7 @@ def _cmd_corrupt(cfg: dict) -> tuple:
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"], cfg["exact_count"])
     elif cfg["kind"] == "asymmetric":
         if cfg["map"]:
-            class_map = _parse_class_map(cfg["map"]) if isinstance(cfg["map"], str) else {
-                int(k): int(v) for k, v in cfg["map"].items()
-            }
+            class_map = _parse_class_map(cfg["map"])
         elif labels.n_classes == 10:
             class_map = dict(noise.CIFAR10_CLASS_MAP)
         else:

@@ -5,6 +5,15 @@ The inner problem  min_w ||softmax(alpha Y) - F w||^2 + lam ||w||^2  has the
 closed form  w* = (F'F + lam I)^{-1} F' softmax(alpha Y), so the validation
 loss is an analytic function of the batch logits Y and its gradient is exact
 (no unrolled inner loop).
+
+The hypergradient never forms the d x b operator (F'F + lam I)^{-1} F' or its
+n_v x b image on the validation set: both passes apply it to c-column matrices
+through a Cholesky factor of the smaller Gram matrix. That is the primal F'F
+(d x d) when d <= b, and the dual FF' (b x b) when d > b, by the identity
+(F'F + lam I)^{-1} F' = F'(FF' + lam I)^{-1} (dual ridge regression). At
+lam = 0 the ridge solution is unique only when F'F is nonsingular: a batch
+with fewer rows than feature columns raises LinAlgError before factoring, and
+a rank-deficient one raises when its factorization breaks down.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import softmax, softmax_entropy
 from .errors import NumericError
@@ -58,15 +67,33 @@ class RidgeSolution:
     alpha: float
 
 
-def _gram_solver(F_t: np.ndarray, lam: float, normalize_gram: bool):
-    """Cholesky factor of F'F + lam I, with lam scaled by b under ``normalize_gram``:
-    (F'F/b + lam I)^{-1} F'/b = (F'F + b lam I)^{-1} F'."""
+def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of F'F + lam I, or of the dual FF' + lam I, with lam
+    scaled by the batch size b under ``normalize_gram``:
+    (F'F/b + lam I)^{-1} F'/b = (F'F + b lam I)^{-1} F', and likewise for FF'.
+
+    At lam = 0 with more feature columns than rows, F'F is singular whatever the
+    values, so that raises before any factoring. A non-finite feature makes a
+    diagonal entry non-finite, which LAPACK would not report, so the diagonal
+    is checked first."""
     b, d = F_t.shape
-    A = F_t.T @ F_t + (lam * b if normalize_gram else lam) * np.eye(d)
-    try:
-        return cho_factor(A, lower=True)
-    except LinAlgError as exc:
-        raise LinAlgError(f"Gram matrix is singular at lam={lam}: {exc}") from exc
+    if lam == 0 and d > b:
+        raise LinAlgError(f"Gram matrix is singular at lam={lam}: {b} batch rows span at most {b} of {d} dims")
+    gram = F_t @ F_t.T if dual else F_t.T @ F_t
+    if not np.all(np.isfinite(gram.diagonal())):
+        raise ValueError("Gram matrix is not finite: the batch features are non-finite or too large")
+    gram.flat[:: gram.shape[0] + 1] += lam * b if normalize_gram else lam
+    factor, info = dpotrf(gram, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(
+            f"Gram matrix is singular at lam={lam}: {info}-th leading minor of the array is not positive definite"
+        )
+    return factor
+
+
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L')^{-1} rhs for the lower Cholesky factor L."""
+    return dpotrs(factor, rhs, lower=1)[0]
 
 
 def ridge_fit(
@@ -86,9 +113,8 @@ def ridge_fit(
     Y_t = np.asarray(Y_t, dtype=np.float64)
     if F_t.shape[0] != Y_t.shape[0]:
         raise ValueError(f"batch size mismatch: {F_t.shape[0]} feature rows vs {Y_t.shape[0]} logit rows")
-    factor = _gram_solver(F_t, lam, normalize_gram)
-    targets = softmax(alpha * Y_t)
-    weights = cho_solve(factor, F_t.T @ targets)
+    factor = _cholesky(F_t, lam, normalize_gram)
+    weights = _solve(factor, F_t.T @ softmax(alpha * Y_t))
     return RidgeSolution(weights=weights, lam=lam, alpha=alpha)
 
 
@@ -127,24 +153,26 @@ def loss_and_label_gradient(
 
     Chain: predictions P = F_v (F'F + lam I)^{-1} F' S with S = softmax(alpha Y);
     dL/dP from the squared and entropy terms; dL/dS through the linear map;
-    dL/dY through the row-wise softmax Jacobian scaled by alpha.
+    dL/dY through the row-wise softmax Jacobian scaled by alpha. The map is
+    applied without being built, through the primal factor when d <= b and the
+    dual one when d > b; at lam = 0 the latter raises, as F'F is singular.
     """
     F_t = np.asarray(F_t, dtype=np.float64)
     Y_t = np.asarray(Y_t, dtype=np.float64)
     F_v = np.asarray(F_v, dtype=np.float64)
     Y_v = np.asarray(Y_v, dtype=np.float64)
-    factor = _gram_solver(F_t, cfg.lam, cfg.normalize_gram)
-    K = cho_solve(factor, F_t.T)              # d x b, (F'F + lam I)^{-1} F'
-    M = F_v @ K                               # n_v x b
+    dual = F_t.shape[1] > F_t.shape[0]
+    factor = _cholesky(F_t, cfg.lam, cfg.normalize_gram, dual)
     S = softmax(cfg.alpha * Y_t)
-    P = M @ S
+    P = F_v @ (F_t.T @ _solve(factor, S) if dual else _solve(factor, F_t.T @ S))
     n_v = F_v.shape[0]
 
     _, _, entropy, d_entropy = softmax_entropy(P)
     loss = (float(((P - Y_v) ** 2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
 
     grad_pred = (2.0 * (P - Y_v) + cfg.gamma_ent * d_entropy) / n_v
-    grad_soft = M.T @ grad_pred
+    back = F_v.T @ grad_pred                  # d x c
+    grad_soft = _solve(factor, F_t @ back) if dual else F_t @ _solve(factor, back)
     inner = (S * grad_soft).sum(axis=1, keepdims=True)
     grad = cfg.alpha * S * (grad_soft - inner)
     return loss, grad

@@ -134,6 +134,10 @@ def purify(
     n_v = F_v.shape[0]
     sub_val = cfg.ipc.val_batch is not None and cfg.ipc.val_batch < n_v
 
+    # Hard labels for the truth accuracy, kept in step with Y: a ridge step
+    # changes only the batch rows, a replacement all of them.
+    pred = np.argmax(Y, axis=1) if truth is not None else None
+
     records: list[IterationRecord] = []
     start = time.perf_counter()
     p = 0
@@ -152,7 +156,9 @@ def purify(
                         fv, yv = F_v, Y_v
                     val_loss, grad = loss_and_label_gradient(F_t[idx], Y[idx], fv, yv, cfg.ipc)
                     grad_norm = float(np.linalg.norm(grad))
-                    Y[idx] = ipc_step(Y[idx], grad, cfg.ipc.eta)
+                    Y[idx] = rows = ipc_step(Y[idx], grad, cfg.ipc.eta)
+                    if pred is not None:
+                        pred[idx] = np.argmax(rows, axis=1)
                 did_replace = False
                 if cfg.use_eac:
                     if cfg.eac.hard_targets:
@@ -176,11 +182,11 @@ def purify(
                             blended = (1.0 - cfg.eac.eta) * softmax(alpha * Y) + cfg.eac.eta * softmax(logits_all)
                             Y = logits_from_probabilities(blended, alpha)
                         did_replace = True
+                        if pred is not None:
+                            pred = np.argmax(Y, axis=1)
             except (NumericError, LinAlgError) as exc:
                 raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
-            acc = None
-            if truth is not None:
-                acc = float(np.mean(np.argmax(Y, axis=1) == truth.values))
+            acc = None if pred is None else float(np.mean(pred == truth.values))
             records.append(
                 IterationRecord(
                     p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm,

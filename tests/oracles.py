@@ -1,15 +1,18 @@
-"""Independent oracles for the test suite: brute-force minimization and
-finite differences. These deliberately avoid the library's analytic paths;
-the ridge minimizer sees only loss gradients, and the finite-difference
-oracles drive public forward computations alone.
+"""Independent oracles for the test suite: brute-force minimization, finite
+differences, and the sequential primal hypergradient. These deliberately avoid
+the library's analytic paths; the ridge minimizer sees only loss gradients,
+the finite-difference oracles drive public forward computations alone, and the
+primal reference builds the ridge operator explicitly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from labelpure.data import log_softmax, softmax
 from labelpure.eac import LinearClassifier, classifier_forward, eac_loss
-from labelpure.ipc import ridge_fit, ridge_predict, validation_loss
+from labelpure.ipc import IpcConfig, ridge_fit, ridge_predict, validation_loss
 
 
 def ridge_descent_minimizer(
@@ -70,6 +73,26 @@ def fd_label_gradient(
             minus[i, j] -= step
             out[i, j] = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
     return out
+
+
+def primal_loss_and_label_gradient(
+    F_t: np.ndarray, Y_t: np.ndarray, F_v: np.ndarray, Y_v: np.ndarray, cfg: IpcConfig
+) -> tuple[float, np.ndarray]:
+    """Validation loss and label gradient through the explicit n_v x b operator
+    M = F_v (F'F + lam I)^{-1} F', with lam scaled by b under normalize_gram:
+    the sequential primal reference for ``ipc.loss_and_label_gradient``."""
+    b, d = F_t.shape
+    lam = cfg.lam * b if cfg.normalize_gram else cfg.lam
+    M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + lam * np.eye(d), lower=True), F_t.T)
+    S = softmax(cfg.alpha * Y_t)
+    P = M @ S
+    n_v = F_v.shape[0]
+    logq = log_softmax(P)
+    q = np.exp(logq)
+    entropy = -(q * logq).sum(axis=1)
+    loss = (float(((P - Y_v) ** 2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
+    grad_soft = M.T @ ((2.0 * (P - Y_v) - cfg.gamma_ent * q * (logq + entropy[:, None])) / n_v)
+    return loss, cfg.alpha * S * (grad_soft - (S * grad_soft).sum(axis=1, keepdims=True))
 
 
 def fd_classifier_gradients(

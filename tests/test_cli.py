@@ -620,3 +620,42 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     assert dispatch(["purify", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {path}: unknown config key '{dotted}'\n"
     assert not (tmp_path / "pure.txt").exists()
+
+
+@pytest.mark.parametrize("tree, message", [
+    ({"purifier": {"epochs": "3"}}, 'purifier.epochs must be int, got "3"'),
+    ({"purifier": {"ipc": None}}, "purifier.ipc must be an object, got null"),
+    ({"purifier": None}, "purifier must be an object, got null"),
+    ({"purifier": {"epochs": None}}, "purifier.epochs must be int, got null"),
+    ({"purifier": {"epochs": True}}, "purifier.epochs must be int, got true"),
+    ({"purifier": {"ipc": {"normalize_gram": 1}}}, "purifier.ipc.normalize_gram must be bool, got 1"),
+    (
+        {"purifier": {"eac": {"blend_space": "logits"}}},
+        'purifier.eac.blend_space must be one of logit, probability, got "logits"',
+    ),
+    ({"features": 5}, "features must be str, got 5"),
+])
+def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path, capsys):
+    config = {
+        "version": 1, "features": "f.bin", "labels": "y.txt", "val_features": "vf.bin",
+        "val_labels": "vy.csv", "out_labels": "pure.txt", **tree,
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert dispatch(["purify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
+
+
+def test_config_takes_ints_for_float_keys_and_null_for_unset_keys(tmp_path):
+    _synth(tmp_path, n=60, n_val=20, n_test=0)
+    flags = [
+        "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "y.txt"),
+        "--val-features", str(tmp_path / "vf.bin"), "--val-labels", str(tmp_path / "vy.csv"),
+        "--epochs", "2", "--manifest", str(tmp_path / "m.json"),
+    ]
+    config = {"purifier": {"ipc": {"lam": 2, "val_batch": None}}, "out_logits": None}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    config_flags = ["--config", str(tmp_path / "c.json")]
+    assert dispatch(["purify", *flags, "--out-labels", str(tmp_path / "a.txt"), *config_flags]) == 0
+    assert dispatch(["purify", *flags, "--out-labels", str(tmp_path / "b.txt"), "--lambda", "2.0"]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

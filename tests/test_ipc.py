@@ -15,7 +15,12 @@ from labelpure.ipc import (
     validation_loss,
 )
 
-from oracles import fd_label_gradient, relative_errors, ridge_descent_minimizer
+from oracles import (
+    fd_label_gradient,
+    primal_loss_and_label_gradient,
+    relative_errors,
+    ridge_descent_minimizer,
+)
 
 mpmath.mp.dps = 50
 
@@ -278,10 +283,47 @@ def test_small_step_does_not_increase_loss():
     assert checked >= 15
 
 
+def test_label_gradient_matches_finite_differences_in_dual_form():
+    # d > b: the gradient goes through the b x b factor of FF' + lam I.
+    rng = np.random.default_rng(14)
+    F_t, Y_t = rng.normal(size=(6, 12)), rng.normal(size=(6, 3))
+    F_v = rng.normal(size=(5, 12))
+    Y_v = one_hot(HardLabels(rng.integers(0, 3, size=5), 3))
+    cfg = IpcConfig(alpha=1.0, lam=1.0, gamma_ent=1.0)
+    _, grad = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
+    fd = fd_label_gradient(F_t, Y_t, F_v, Y_v, cfg.alpha, cfg.lam, cfg.gamma_ent, step=1e-5)
+    max_rel, max_abs = relative_errors(grad, fd)
+    assert max_rel <= 1e-4
+    assert max_abs <= 1e-8
+
+
+# (b, d): dual, primal, square, one-row dual, one-row primal, and a wider dual.
+_SHAPES = [(5, 9), (12, 4), (6, 6), (1, 4), (1, 1), (24, 60)]
+
+
+@pytest.mark.parametrize("b, d", _SHAPES)
+@pytest.mark.parametrize("normalize_gram", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+# At lam = 1e-3 and d > b, F'F + lam I is ill-conditioned and the primal
+# reference itself loses digits.
+@pytest.mark.parametrize("lam, tol", [(1.0, 1e-10), (0.1, 1e-10), (1e-3, 1e-8)])
+def test_label_gradient_matches_primal_reference(b, d, normalize_gram, gamma, lam, tol):
+    rng = np.random.default_rng(100 * b + d)
+    F_t, Y_t = rng.normal(size=(b, d)), rng.normal(size=(b, 3))
+    val = _random_val_set(rng, 7, d, 3)
+    cfg = IpcConfig(alpha=1.7, lam=lam, gamma_ent=gamma, normalize_gram=normalize_gram)
+    args = (F_t, Y_t, val.features.values, val.labels, cfg)
+    loss, grad = loss_and_label_gradient(*args)
+    ref_loss, ref_grad = primal_loss_and_label_gradient(*args)
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    assert np.abs(grad - ref_grad).max() <= tol * np.abs(ref_grad).max()
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_label_gradient_bitwise_equal_to_written_out_algebra(gamma):
-    # Reference: the chain rule spelled out term by term, as it was before the
-    # entropy algebra moved into softmax_entropy; purification depends on it.
+    # Reference: the chain rule spelled out term by term in the association the
+    # library uses at d <= b, P = F_v (A^{-1} (F'S)) and dL/dS = F (A^{-1} (F_v' G));
+    # purification depends on it.
     rng = np.random.default_rng(13)
     F_t, Y_t = rng.normal(size=(16, 5)), rng.normal(size=(16, 3))
     val = _random_val_set(rng, 10, 5, 3)
@@ -289,17 +331,59 @@ def test_label_gradient_bitwise_equal_to_written_out_algebra(gamma):
     cfg = IpcConfig(alpha=1.5, lam=0.5, gamma_ent=gamma)
     loss, grad = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
 
-    M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + cfg.lam * np.eye(5), lower=True), F_t.T)
+    factor = cho_factor(F_t.T @ F_t + cfg.lam * np.eye(5), lower=True)
     S = softmax(cfg.alpha * Y_t)
-    P = M @ S
+    P = F_v @ cho_solve(factor, F_t.T @ S)
     logq = log_softmax(P)
     q = np.exp(logq)
     entropy = -(q * logq).sum(axis=1)
     ref_loss = (float(((P - Y_v) ** 2).sum()) + gamma * float(entropy.sum())) / 10
-    grad_soft = M.T @ ((2.0 * (P - Y_v) - gamma * q * (logq + entropy[:, None])) / 10)
+    grad_pred = (2.0 * (P - Y_v) - gamma * q * (logq + entropy[:, None])) / 10
+    grad_soft = F_t @ cho_solve(factor, F_v.T @ grad_pred)
     ref_grad = cfg.alpha * S * (grad_soft - (S * grad_soft).sum(axis=1, keepdims=True))
     assert loss == ref_loss
     assert np.array_equal(grad, ref_grad)
+
+
+def test_zero_lambda_with_more_dims_than_rows_raises():
+    # F'F has rank <= b < d, so there is no unique ridge solution to differentiate.
+    rng = np.random.default_rng(15)
+    F_t, Y_t = rng.normal(size=(4, 7)), rng.normal(size=(4, 3))
+    val = _random_val_set(rng, 5, 7, 3)
+    with pytest.raises(LinAlgError, match=r"singular at lam=0\.0"):
+        loss_and_label_gradient(F_t, Y_t, val.features.values, val.labels, IpcConfig(lam=0.0))
+    with pytest.raises(LinAlgError, match=r"singular at lam=0\.0"):
+        ridge_fit(F_t, Y_t, alpha=1.0, lam=0.0)
+
+
+def test_zero_lambda_rank_deficient_batch_raises_in_primal_form():
+    rng = np.random.default_rng(16)
+    F_t = rng.normal(size=(10, 4))
+    F_t[:, 2] = 0.0  # rank 3 < d = 4 <= b
+    val = _random_val_set(rng, 5, 4, 3)
+    with pytest.raises(LinAlgError, match=r"singular at lam=0\.0"):
+        loss_and_label_gradient(F_t, rng.normal(size=(10, 3)), val.features.values, val.labels, IpcConfig(lam=0.0))
+
+
+@pytest.mark.parametrize("b, d", [(6, 3), (2, 5)])
+def test_non_finite_batch_features_raise(b, d):
+    F_t = np.ones((b, d))
+    F_t[1, 2] = np.nan
+    Y_t = np.zeros((b, 2))
+    with pytest.raises(ValueError, match="not finite"):
+        ridge_fit(F_t, Y_t, alpha=1.0, lam=1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        loss_and_label_gradient(F_t, Y_t, np.ones((4, d)), np.eye(2)[[0, 1, 0, 1]], IpcConfig())
+
+
+def test_one_row_batch_in_dual_form_is_finite():
+    rng = np.random.default_rng(17)
+    val = _random_val_set(rng, 5, 6, 3)
+    loss, grad = loss_and_label_gradient(
+        rng.normal(size=(1, 6)), rng.normal(size=(1, 3)), val.features.values, val.labels, IpcConfig(lam=0.1)
+    )
+    assert np.isfinite(loss)
+    assert grad.shape == (1, 3) and np.all(np.isfinite(grad))
 
 
 def test_label_gradient_permutation_equivariance():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
@@ -104,6 +106,21 @@ def test_truth_tracking_never_changes_outputs():
     assert all(r.acc is not None for r in report_b.records)
     assert "final_accuracy" in report_b.summary
     assert "final_accuracy" not in report_a.summary
+
+
+def test_tracked_accuracy_equals_a_full_recount():
+    # 2 iterations per epoch, a replacement every 3: epoch 0 ends on a ridge
+    # step, epoch 1 on a ridge step after a replacement, epoch 2 on a replacement.
+    # The first k epochs of a run equal a run of k epochs. A large eta makes
+    # ridge steps flip labels.
+    features, clean, noisy, val = _small_problem()
+    cfg = _quick_config(track_truth=clean, ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3))
+    _, _, report = purify(features, noisy, val, cfg)
+    assert report.records[0].acc != label_accuracy(noisy, clean)
+    for epochs in (1, 2, 3):
+        _, purified, _ = purify(features, noisy, val, replace(cfg, epochs=epochs))
+        last = [r for r in report.records if r.epoch == epochs - 1][-1]
+        assert last.acc == label_accuracy(purified, clean)
 
 
 def test_purify_is_deterministic():
@@ -214,6 +231,41 @@ def test_singular_gram_error_names_iteration():
     cfg = PurifierConfig(ipc=IpcConfig(lam=0.0), batch_size=8, epochs=1)
     with pytest.raises(LinAlgError, match=r"epoch 0, iteration 1"):
         purify(features, noisy, val, cfg)
+
+
+def test_zero_lambda_with_more_dims_than_batch_rows_names_lambda():
+    rng = np.random.default_rng(2)
+    features = FeatureMatrix(rng.normal(size=(12, 10)))
+    noisy = HardLabels(rng.integers(0, 2, size=12), 2)
+    val = CleanValidationSet(
+        FeatureMatrix(rng.normal(size=(4, 10))), one_hot(HardLabels(rng.integers(0, 2, 4), 2))
+    )
+    cfg = PurifierConfig(ipc=IpcConfig(lam=0.0), batch_size=6, epochs=1)
+    with pytest.raises(LinAlgError, match=r"singular at lam=0\.0.*\(epoch 0, iteration 1\)"):
+        purify(features, noisy, val, cfg)
+
+
+def test_one_row_last_batch_with_more_dims_than_rows_is_finite():
+    rng = np.random.default_rng(3)
+    features = FeatureMatrix(rng.normal(size=(9, 6)))  # batches of 4, 4 and 1 rows, all d > b
+    noisy = HardLabels(rng.integers(0, 3, size=9), 3)
+    val = CleanValidationSet(
+        FeatureMatrix(rng.normal(size=(5, 6))), one_hot(HardLabels(rng.integers(0, 3, 5), 3))
+    )
+    cfg = PurifierConfig(ipc=IpcConfig(lam=0.1), eac=EacConfig(period=2), batch_size=4, epochs=2)
+    logits, _, report = purify(features, noisy, val, cfg)
+    assert np.all(np.isfinite(logits.values))
+    assert all(np.isfinite(r.val_loss) and np.isfinite(r.grad_norm) for r in report.records)
+
+
+def test_class_absent_from_validation_gives_finite_logits():
+    features, _, noisy, val = _small_problem()
+    keep = val.labels[:, 2] == 0.0
+    val_without_2 = CleanValidationSet(FeatureMatrix(val.features.values[keep]), val.labels[keep])
+    assert val_without_2.n_classes == 3 and keep.sum() < len(keep)
+    logits, _, report = purify(features, noisy, val_without_2, _quick_config())
+    assert np.all(np.isfinite(logits.values))
+    assert all(np.isfinite(r.val_loss) and np.isfinite(r.grad_norm) for r in report.records)
 
 
 def test_purify_validates_shapes():
