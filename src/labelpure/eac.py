@@ -4,11 +4,11 @@ its logits periodically replace (momentum-blend into) the label logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import softmax_entropy
+from .data import softmax, softmax_entropy
 from .errors import NumericError
 
 _BLEND_SPACES = ("logit", "probability")
@@ -83,55 +83,53 @@ class EacConfig:
             raise ValueError(f"blend_space must be one of {_BLEND_SPACES}, got {self.blend_space!r}")
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """Adaptive-moment optimizer state for a LinearClassifier."""
+class TrainState:
+    """A linear classifier under Adam training, updated in place by eac_train_step.
 
-    lr: float = 1e-3
-    step: int = 0
-    m_w: np.ndarray | None = None
-    v_w: np.ndarray | None = None
-    m_b: np.ndarray | None = None
-    v_b: np.ndarray | None = None
+    ``params`` stacks the d x c weights over the bias row, so one set of moment
+    updates covers both; ``weights`` and ``bias`` are views into it. The state
+    is checked only when ``classifier()`` copies it out.
+    """
 
-    @classmethod
-    def init(cls, dim: int, n_classes: int, lr: float = 1e-3) -> "AdamState":
-        return cls(
-            lr=lr,
-            step=0,
-            m_w=np.zeros((dim, n_classes)),
-            v_w=np.zeros((dim, n_classes)),
-            m_b=np.zeros(n_classes),
-            v_b=np.zeros(n_classes),
-        )
+    def __init__(self, dim: int, n_classes: int, lr: float = 1e-3) -> None:
+        self.lr = lr
+        self.step = 0
+        self.params = np.zeros((dim + 1, n_classes))
+        self.weights = self.params[:dim]
+        self.bias = self.params[dim]
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.grad = np.zeros_like(self.params)
+
+    def classifier(self) -> LinearClassifier:
+        """A validated, read-only copy of the current weights and bias."""
+        return LinearClassifier(self.weights, self.bias)
 
 
-def classifier_forward(clf: LinearClassifier, F: np.ndarray) -> np.ndarray:
+def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.ndarray:
     """Class logits for each feature row."""
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != clf.dim:
-        raise ValueError(f"feature dim {F.shape[-1]} does not match classifier dim {clf.dim}")
+    dim = clf.weights.shape[0]
+    if F.ndim != 2 or F.shape[1] != dim:
+        raise ValueError(f"feature dim {F.shape[-1]} does not match classifier dim {dim}")
     return F @ clf.weights + clf.bias
 
 
-def _check_targets(logits: np.ndarray, targets: np.ndarray) -> None:
-    if logits.shape != targets.shape:
-        raise ValueError(f"logits shape {logits.shape} does not match targets {targets.shape}")
-    sums = targets.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6 or targets.min() < -1e-12:
+def check_targets(targets: np.ndarray) -> None:
+    """Refuse target matrices whose rows are not finite probability vectors."""
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets contain non-finite entries")
+    if np.abs(targets.sum(axis=1) - 1.0).max() > 1e-6 or targets.min() < -1e-12:
         raise ValueError("target rows must be probability vectors summing to 1")
 
 
-def _loss_and_logit_gradient(
-    logits: np.ndarray, targets: np.ndarray, gamma_ent: float
-) -> tuple[float, np.ndarray]:
-    """Mean cross entropy plus gamma_ent * entropy, and its gradient w.r.t. the logits."""
-    _check_targets(logits, targets)
-    logq, q, entropy, d_entropy = softmax_entropy(logits)
-    ce = -(targets * logq).sum(axis=1)
-    loss = float((ce + gamma_ent * entropy).mean())
-    # d/dlogits of mean CE is (q - t)/m
-    return loss, (q - targets + gamma_ent * d_entropy) / logits.shape[0]
+def _logit_gradient(logits: np.ndarray, targets: np.ndarray, gamma_ent: float) -> np.ndarray:
+    """Gradient of the mean cross entropy plus gamma_ent * entropy w.r.t. the
+    logits: (q - t + gamma_ent * dH/dlogits) / m for q = softmax(logits)."""
+    if gamma_ent:
+        _, q, _, d_entropy = softmax_entropy(logits)
+        return (q - targets + gamma_ent * d_entropy) / logits.shape[0]
+    return (softmax(logits) - targets) / logits.shape[0]
 
 
 def eac_loss(logits: np.ndarray, targets: np.ndarray, gamma_ent: float = 1.0) -> float:
@@ -139,7 +137,12 @@ def eac_loss(logits: np.ndarray, targets: np.ndarray, gamma_ent: float = 1.0) ->
     if gamma_ent < 0:
         raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
     logits = np.asarray(logits, dtype=np.float64)
-    return _loss_and_logit_gradient(logits, np.asarray(targets, dtype=np.float64), gamma_ent)[0]
+    targets = np.asarray(targets, dtype=np.float64)
+    if logits.shape != targets.shape:
+        raise ValueError(f"logits shape {logits.shape} does not match targets {targets.shape}")
+    check_targets(targets)
+    logq, _, entropy, _ = softmax_entropy(logits)
+    return float((-(targets * logq).sum(axis=1) + gamma_ent * entropy).mean())
 
 
 def eac_gradients(
@@ -152,41 +155,50 @@ def eac_gradients(
     """Loss plus its analytic gradients w.r.t. classifier weights and bias."""
     F = np.asarray(F, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    loss, grad_logits = _loss_and_logit_gradient(classifier_forward(clf, F), targets, gamma_ent)
-    grad_w = F.T @ grad_logits + weight_decay * clf.weights
-    grad_b = grad_logits.sum(axis=0)
-    return loss, grad_w, grad_b
+    logits = classifier_forward(clf, F)
+    loss = eac_loss(logits, targets, gamma_ent)
+    grad_logits = _logit_gradient(logits, targets, gamma_ent)
+    return loss, F.T @ grad_logits + weight_decay * clf.weights, grad_logits.sum(axis=0)
 
 
 def eac_train_step(
-    clf: LinearClassifier,
+    state: TrainState,
     F_batch: np.ndarray,
     targets: np.ndarray,
-    opt: AdamState,
     *,
     gamma_ent: float = 1.0,
     weight_decay: float = 0.0,
     update_bias: bool = True,
-) -> tuple[LinearClassifier, AdamState]:
-    """One adaptive-moment update of the classifier on a batch of soft targets."""
-    _, grad_w, grad_b = eac_gradients(clf, F_batch, targets, gamma_ent, weight_decay)
-    if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):
+) -> None:
+    """One Adam update of the classifier in ``state``, in place, on a batch of
+    soft targets: the gradient of eac_loss plus weight decay on the weights.
+
+    Only the targets' shape is checked here; callers hand in probability rows
+    (see check_targets). A non-finite gradient raises before the state changes.
+    """
+    logits = F_batch @ state.weights + state.bias
+    if logits.shape != targets.shape:
+        raise ValueError(f"logits shape {logits.shape} does not match targets {targets.shape}")
+    grad_logits = _logit_gradient(logits, targets, gamma_ent)
+    grad = state.grad
+    dim = state.weights.shape[0]
+    np.matmul(F_batch.T, grad_logits, out=grad[:dim])
+    if weight_decay:
+        grad[:dim] += weight_decay * state.weights
+    np.sum(grad_logits, axis=0, out=grad[dim])
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite classifier gradient")
-    step = opt.step + 1
-    m_w = _BETA1 * opt.m_w + (1 - _BETA1) * grad_w
-    v_w = _BETA2 * opt.v_w + (1 - _BETA2) * grad_w**2
-    m_b = _BETA1 * opt.m_b + (1 - _BETA1) * grad_b
-    v_b = _BETA2 * opt.v_b + (1 - _BETA2) * grad_b**2
-    bias_c1 = 1 - _BETA1**step
-    bias_c2 = 1 - _BETA2**step
-    new_w = clf.weights - opt.lr * (m_w / bias_c1) / (np.sqrt(v_w / bias_c2) + _EPS)
+    state.step += 1
+    m, v = state.m, state.v
+    m *= _BETA1
+    m += (1 - _BETA1) * grad
+    v *= _BETA2
+    v += (1 - _BETA2) * grad**2
+    delta = state.lr * (m / (1 - _BETA1**state.step)) / (np.sqrt(v / (1 - _BETA2**state.step)) + _EPS)
     if update_bias:
-        new_b = clf.bias - opt.lr * (m_b / bias_c1) / (np.sqrt(v_b / bias_c2) + _EPS)
+        state.params -= delta
     else:
-        new_b = clf.bias
-    new_clf = LinearClassifier(new_w, new_b)
-    new_opt = replace(opt, step=step, m_w=m_w, v_w=v_w, m_b=m_b, v_b=v_b)
-    return new_clf, new_opt
+        state.weights -= delta[:dim]
 
 
 def eac_label_update(Y_t: np.ndarray, logits_all: np.ndarray, eta: float) -> np.ndarray:

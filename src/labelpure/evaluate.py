@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
-from .eac import AdamState, LinearClassifier, classifier_forward, eac_train_step
+from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,22 @@ def train_linear_on_targets(
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[0] != features.n:
         raise ValueError(f"{features.n} feature rows vs target shape {targets.shape}")
+    check_targets(targets)
     F = features.values
-    clf = LinearClassifier.zeros(features.dim, targets.shape[1])
-    opt = AdamState.init(features.dim, targets.shape[1], cfg.lr)
+    # Class-major, so each batch gathers into a column-major matrix, the layout
+    # the softmax in eac_train_step reduces over.
+    by_class = np.ascontiguousarray(targets.T)
+    state = TrainState(features.dim, targets.shape[1], cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         perm = rng.permutation(features.n)
         for lo in range(0, features.n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
-            clf, opt = eac_train_step(
-                clf, F[idx], targets[idx], opt,
+            eac_train_step(
+                state, np.take(F, idx, axis=0), np.take(by_class, idx, axis=1).T,
                 gamma_ent=0.0, weight_decay=cfg.weight_decay,
             )
-    return clf
+    return state.classifier()
 
 
 def train_linear_ce(

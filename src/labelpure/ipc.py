@@ -80,7 +80,7 @@ def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = Fa
     if lam == 0 and d > b:
         raise LinAlgError(f"Gram matrix is singular at lam={lam}: {b} batch rows span at most {b} of {d} dims")
     gram = F_t @ F_t.T if dual else F_t.T @ F_t
-    if not np.all(np.isfinite(gram.diagonal())):
+    if not np.isfinite(gram.diagonal()).all():
         raise ValueError("Gram matrix is not finite: the batch features are non-finite or too large")
     gram.flat[:: gram.shape[0] + 1] += lam * b if normalize_gram else lam
     factor, info = dpotrf(gram, lower=1, clean=0)
@@ -172,7 +172,8 @@ def loss_and_label_gradient(
 
     grad_pred = (2.0 * (P - Y_v) + cfg.gamma_ent * d_entropy) / n_v
     back = F_v.T @ grad_pred                  # d x c
-    grad_soft = _solve(factor, F_t @ back) if dual else F_t @ _solve(factor, back)
+    # Column-major like S, so the row sum below reduces over whole columns.
+    grad_soft = np.asfortranarray(_solve(factor, F_t @ back) if dual else F_t @ _solve(factor, back))
     inner = (S * grad_soft).sum(axis=1, keepdims=True)
     grad = cfg.alpha * S * (grad_soft - inner)
     return loss, grad
@@ -186,6 +187,6 @@ def ipc_step(Y_rows: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError(f"logit shape {Y_rows.shape} does not match gradient {grad.shape}")
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite label gradient")
     return Y_rows - eta * grad

@@ -24,7 +24,7 @@ from .data import (
     one_hot,
     softmax,
 )
-from .eac import AdamState, EacConfig, LinearClassifier, classifier_forward, eac_label_update, eac_train_step
+from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step
 from .errors import NumericError
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
 from .noise import label_accuracy
@@ -127,16 +127,19 @@ def purify(
         F_v = np.hstack([F_v, np.ones((F_v.shape[0], 1))])
 
     Y = one_hot(noisy) * cfg.init_scale
-    clf = LinearClassifier.zeros(F_t.shape[1], c)
-    opt = AdamState.init(F_t.shape[1], c, cfg.eac.lr)
+    state = TrainState(F_t.shape[1], c, cfg.eac.lr)
+    eye = np.eye(c)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
     n_v = F_v.shape[0]
     sub_val = cfg.ipc.val_batch is not None and cfg.ipc.val_batch < n_v
 
-    # Hard labels for the truth accuracy, kept in step with Y: a ridge step
-    # changes only the batch rows, a replacement all of them.
-    pred = np.argmax(Y, axis=1) if truth is not None else None
+    # Hard labels and their count of correct rows for the truth accuracy, kept
+    # in step with Y: a ridge step changes only the batch rows, a replacement
+    # all of them.
+    if truth is not None:
+        pred = np.argmax(Y, axis=1)
+        correct = int(np.count_nonzero(pred == truth.values))
 
     records: list[IterationRecord] = []
     start = time.perf_counter()
@@ -145,6 +148,7 @@ def purify(
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
+            f, y = np.take(F_t, idx, axis=0), np.take(Y, idx, axis=0)
             p += 1
             val_loss = grad_norm = None
             try:
@@ -154,43 +158,38 @@ def purify(
                         fv, yv = F_v[pick], Y_v[pick]
                     else:
                         fv, yv = F_v, Y_v
-                    val_loss, grad = loss_and_label_gradient(F_t[idx], Y[idx], fv, yv, cfg.ipc)
+                    val_loss, grad = loss_and_label_gradient(f, y, fv, yv, cfg.ipc)
                     grad_norm = float(np.linalg.norm(grad))
-                    Y[idx] = rows = ipc_step(Y[idx], grad, cfg.ipc.eta)
-                    if pred is not None:
-                        pred[idx] = np.argmax(rows, axis=1)
+                    Y[idx] = y = ipc_step(y, grad, cfg.ipc.eta)
+                    if truth is not None:
+                        new, t = np.argmax(y, axis=1), truth.values[idx]
+                        correct += int(np.count_nonzero(new == t)) - int(np.count_nonzero(pred[idx] == t))
+                        pred[idx] = new
                 did_replace = False
                 if cfg.use_eac:
-                    if cfg.eac.hard_targets:
-                        targets = np.eye(c)[np.argmax(Y[idx], axis=1)]
-                    else:
-                        targets = softmax(alpha * Y[idx])
+                    targets = eye[np.argmax(y, axis=1)] if cfg.eac.hard_targets else softmax(alpha * y)
                     for _ in range(cfg.eac_steps_per_iter):
-                        clf, opt = eac_train_step(
-                            clf,
-                            F_t[idx],
-                            targets,
-                            opt,
-                            gamma_ent=cfg.eac.gamma_ent,
-                            update_bias=cfg.eac.use_bias,
+                        eac_train_step(
+                            state, f, targets, gamma_ent=cfg.eac.gamma_ent, update_bias=cfg.eac.use_bias
                         )
                     if p % cfg.eac.period == 0:
-                        logits_all = classifier_forward(clf, F_t)
+                        logits_all = classifier_forward(state, F_t)
                         if cfg.eac.blend_space == "logit":
                             Y = eac_label_update(Y, logits_all, cfg.eac.eta)
                         else:
                             blended = (1.0 - cfg.eac.eta) * softmax(alpha * Y) + cfg.eac.eta * softmax(logits_all)
-                            Y = logits_from_probabilities(blended, alpha)
+                            # Row-major again, as the per-batch row gathers want.
+                            Y = np.ascontiguousarray(logits_from_probabilities(blended, alpha))
                         did_replace = True
-                        if pred is not None:
+                        if truth is not None:
                             pred = np.argmax(Y, axis=1)
+                            correct = int(np.count_nonzero(pred == truth.values))
             except (NumericError, LinAlgError) as exc:
                 raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
-            acc = None if pred is None else float(np.mean(pred == truth.values))
             records.append(
                 IterationRecord(
                     p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm,
-                    eac_update=did_replace, acc=acc,
+                    eac_update=did_replace, acc=None if truth is None else correct / n,
                 )
             )
 

@@ -1,18 +1,24 @@
 """Independent oracles for the test suite: brute-force minimization, finite
-differences, and the sequential primal hypergradient. These deliberately avoid
-the library's analytic paths; the ridge minimizer sees only loss gradients,
-the finite-difference oracles drive public forward computations alone, and the
-primal reference builds the ridge operator explicitly.
+differences, the sequential primal hypergradient, and a sequential reference
+of the whole purify and retraining loops. These deliberately avoid the
+library's analytic paths; the ridge minimizer sees only loss gradients, the
+finite-difference oracles drive public forward computations alone, the primal
+reference builds the ridge operator explicitly, and the reference loops use a
+row-major softmax and a functional Adam step that returns fresh arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from labelpure.data import log_softmax, softmax
+from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot
 from labelpure.eac import LinearClassifier, classifier_forward, eac_loss
+from labelpure.evaluate import TrainConfig
 from labelpure.ipc import IpcConfig, ridge_fit, ridge_predict, validation_loss
+from labelpure.purifier import PurifierConfig
 
 
 def ridge_descent_minimizer(
@@ -75,6 +81,26 @@ def fd_label_gradient(
     return out
 
 
+def rowmajor_log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row log-softmax with the max and the sum taken over each row of a
+    row-major copy: the reference for ``data.log_softmax``."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def rowmajor_softmax(x: np.ndarray) -> np.ndarray:
+    return np.exp(rowmajor_log_softmax(x))
+
+
+def rowmajor_softmax_entropy(x: np.ndarray):
+    """``(log q, q, H, dH/dx)`` from the row-major log-softmax."""
+    logq = rowmajor_log_softmax(x)
+    q = np.exp(logq)
+    h = -(q * logq).sum(axis=1)
+    return logq, q, h, -q * (logq + h[:, None])
+
+
 def primal_loss_and_label_gradient(
     F_t: np.ndarray, Y_t: np.ndarray, F_v: np.ndarray, Y_v: np.ndarray, cfg: IpcConfig
 ) -> tuple[float, np.ndarray]:
@@ -84,10 +110,10 @@ def primal_loss_and_label_gradient(
     b, d = F_t.shape
     lam = cfg.lam * b if cfg.normalize_gram else cfg.lam
     M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + lam * np.eye(d), lower=True), F_t.T)
-    S = softmax(cfg.alpha * Y_t)
+    S = rowmajor_softmax(cfg.alpha * Y_t)
     P = M @ S
     n_v = F_v.shape[0]
-    logq = log_softmax(P)
+    logq = rowmajor_log_softmax(P)
     q = np.exp(logq)
     entropy = -(q * logq).sum(axis=1)
     loss = (float(((P - Y_v) ** 2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
@@ -146,3 +172,105 @@ def relative_errors(analytic: np.ndarray, reference: np.ndarray, abs_floor: floa
     max_rel = float((diff[big] / ref[big]).max()) if big.any() else 0.0
     max_abs = float(diff[~big].max()) if (~big).any() else 0.0
     return max_rel, max_abs
+
+
+# ---------------------------------------------------------------- reference loops
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+@dataclass(frozen=True)
+class AdamState:
+    """Adam's step count and moments, replaced rather than updated."""
+
+    lr: float
+    step: int
+    m_w: np.ndarray
+    v_w: np.ndarray
+    m_b: np.ndarray
+    v_b: np.ndarray
+
+    @classmethod
+    def init(cls, dim: int, n_classes: int, lr: float) -> "AdamState":
+        zw, zb = np.zeros((dim, n_classes)), np.zeros(n_classes)
+        return cls(lr, 0, zw, zw, zb, zb)
+
+
+def functional_train_step(
+    clf: LinearClassifier,
+    F: np.ndarray,
+    targets: np.ndarray,
+    opt: AdamState,
+    gamma_ent: float,
+    weight_decay: float = 0.0,
+    update_bias: bool = True,
+) -> tuple[LinearClassifier, AdamState]:
+    """One Adam step of the classifier on soft targets, returning a new
+    classifier and a new optimizer state: the reference for ``eac_train_step``."""
+    _, q, _, d_entropy = rowmajor_softmax_entropy(F @ clf.weights + clf.bias)
+    grad_logits = (q - targets + gamma_ent * d_entropy) / F.shape[0]
+    grad_w = F.T @ grad_logits + weight_decay * clf.weights
+    grad_b = grad_logits.sum(axis=0)
+    step = opt.step + 1
+    m_w = _BETA1 * opt.m_w + (1 - _BETA1) * grad_w
+    v_w = _BETA2 * opt.v_w + (1 - _BETA2) * grad_w**2
+    m_b = _BETA1 * opt.m_b + (1 - _BETA1) * grad_b
+    v_b = _BETA2 * opt.v_b + (1 - _BETA2) * grad_b**2
+    c1, c2 = 1 - _BETA1**step, 1 - _BETA2**step
+    new_w = clf.weights - opt.lr * (m_w / c1) / (np.sqrt(v_w / c2) + _EPS)
+    new_b = clf.bias - opt.lr * (m_b / c1) / (np.sqrt(v_b / c2) + _EPS) if update_bias else clf.bias
+    return LinearClassifier(new_w, new_b), AdamState(opt.lr, step, m_w, v_w, m_b, v_b)
+
+
+def reference_purify(
+    features: FeatureMatrix, noisy: HardLabels, val: CleanValidationSet, cfg: PurifierConfig
+) -> np.ndarray:
+    """Final label logits of the purify loop, computed sequentially: explicit
+    primal hypergradient, row-major softmax, functional Adam step. Covers the
+    full validation set on untransformed features with both processes on."""
+    assert cfg.ipc.val_batch is None and not (cfg.normalize_features or cfg.add_bias_feature)
+    assert cfg.use_ipc and cfg.use_eac
+    F_t, n, c = features.values, features.n, noisy.n_classes
+    alpha, ecfg = cfg.ipc.alpha, cfg.eac
+    Y = one_hot(noisy) * cfg.init_scale
+    clf = LinearClassifier.zeros(features.dim, c)
+    opt = AdamState.init(features.dim, c, ecfg.lr)
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    p = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            p += 1
+            _, grad = primal_loss_and_label_gradient(F_t[idx], Y[idx], val.features.values, val.labels, cfg.ipc)
+            Y[idx] = Y[idx] - cfg.ipc.eta * grad
+            if ecfg.hard_targets:
+                targets = np.eye(c)[np.argmax(Y[idx], axis=1)]
+            else:
+                targets = rowmajor_softmax(alpha * Y[idx])
+            for _ in range(cfg.eac_steps_per_iter):
+                clf, opt = functional_train_step(
+                    clf, F_t[idx], targets, opt, ecfg.gamma_ent, update_bias=ecfg.use_bias
+                )
+            if p % ecfg.period == 0:
+                logits_all = F_t @ clf.weights + clf.bias
+                if ecfg.blend_space == "logit":
+                    Y = (1.0 - ecfg.eta) * Y + ecfg.eta * logits_all
+                else:
+                    blended = (1.0 - ecfg.eta) * rowmajor_softmax(alpha * Y) + ecfg.eta * rowmajor_softmax(logits_all)
+                    Y = np.log(np.maximum(blended, 1e-300)) / alpha
+    return Y
+
+
+def reference_train_linear_ce(features: FeatureMatrix, labels: HardLabels, cfg: TrainConfig) -> LinearClassifier:
+    """Retraining on one-hot targets with the functional Adam step."""
+    F, targets = features.values, one_hot(labels)
+    clf = LinearClassifier.zeros(features.dim, labels.n_classes)
+    opt = AdamState.init(features.dim, labels.n_classes, cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(features.n)
+        for lo in range(0, features.n, cfg.batch):
+            idx = perm[lo : lo + cfg.batch]
+            clf, opt = functional_train_step(clf, F[idx], targets[idx], opt, 0.0, cfg.weight_decay)
+    return clf

@@ -18,17 +18,21 @@ from labelpure.data import (
     hard_labels,
     init_logits,
     l2_normalize_rows,
+    log_softmax,
     load_features,
     load_hard_labels,
     load_onehot_csv,
     logits_from_probabilities,
     one_hot,
     softmax,
+    softmax_entropy,
     write_features,
     write_hard_labels,
     write_onehot_csv,
 )
 from labelpure.errors import FormatError
+
+from oracles import rowmajor_log_softmax, rowmajor_softmax, rowmajor_softmax_entropy
 
 mpmath.mp.dps = 50
 
@@ -172,6 +176,39 @@ def test_argmax_invariant_to_alpha_and_row_shift(values, alpha, shift):
     assert np.array_equal(base, np.argmax(effective_labels(logits, alpha), axis=1))
     shifted = LabelLogits(values + shift)
     assert np.array_equal(base, hard_labels(shifted).values)
+
+
+def _layouts(rng, n, c):
+    """The same n x c values row-major, column-major, and as strided views."""
+    x = rng.normal(size=(n, c)) * 3
+    wide = np.zeros((2 * n, 3 * c))
+    wide[::2, ::3] = x
+    return x, [x, np.asfortranarray(x), wide[::2, ::3], np.asfortranarray(wide)[::2, ::3]]
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 7, 8, 10, 33])
+def test_softmax_kernels_match_the_row_major_formula_on_any_layout(c):
+    # Up to 7 classes a column-major row sum adds in the same order as a
+    # row-major one; from 8 on numpy's pairwise row sum regroups the additions,
+    # so entries agree to 1e-15 relative to the largest magnitude (log values
+    # near 17 are spaced 3.6e-15 apart).
+    rng = np.random.default_rng(c)
+    x, inputs = _layouts(rng, 300, c)
+    want = [rowmajor_softmax(x), rowmajor_log_softmax(x), *rowmajor_softmax_entropy(x)]
+    for values in inputs:
+        got = [softmax(values), log_softmax(values), *softmax_entropy(values)]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            if c <= 7:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 1e-15 * max(1.0, np.abs(b).max())
+
+
+def test_softmax_kernels_need_a_matrix():
+    for shape in [(4,), (2, 3, 4)]:
+        with pytest.raises(ValueError, match="2-D"):
+            log_softmax(np.zeros(shape))
 
 
 # ---------------------------------------------------------------- binary format

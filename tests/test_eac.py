@@ -4,9 +4,9 @@ import pytest
 
 from labelpure.data import HardLabels, log_softmax, one_hot, softmax
 from labelpure.eac import (
-    AdamState,
     EacConfig,
     LinearClassifier,
+    TrainState,
     classifier_forward,
     eac_gradients,
     eac_label_update,
@@ -15,7 +15,7 @@ from labelpure.eac import (
 )
 from labelpure.errors import NumericError
 
-from oracles import fd_classifier_gradients, naive_forward, relative_errors
+from oracles import AdamState, fd_classifier_gradients, functional_train_step, naive_forward, relative_errors
 
 mpmath.mp.dps = 50
 
@@ -78,6 +78,14 @@ def test_loss_rejects_unnormalized_targets():
         eac_loss(np.zeros((1, 3)), np.array([[1.5, -0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loss_rejects_nonfinite_targets(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        eac_loss(np.zeros((1, 3)), np.array([[bad, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        eac_gradients(LinearClassifier.zeros(2, 3), np.ones((1, 2)), np.array([[bad, 0.0, 0.0]]))
+
+
 def test_loss_nonnegative_on_random_inputs():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -137,28 +145,35 @@ def test_gradients_bitwise_equal_to_written_out_algebra(gamma):
     assert np.array_equal(grad_b, grad_logits.sum(axis=0))
 
 
+def _state(dim, n_classes, lr=1e-3, weights=None, bias=None):
+    state = TrainState(dim, n_classes, lr)
+    if weights is not None:
+        state.weights[...] = weights
+    if bias is not None:
+        state.bias[...] = bias
+    return state
+
+
 def test_train_step_zero_lr_keeps_classifier():
     rng = np.random.default_rng(4)
-    clf = LinearClassifier(rng.normal(size=(3, 2)), rng.normal(size=2))
-    opt = AdamState.init(3, 2, lr=0.0)
+    state = _state(3, 2, lr=0.0, weights=rng.normal(size=(3, 2)), bias=rng.normal(size=2))
+    before = state.params.copy()
     F = rng.normal(size=(5, 3))
     targets = softmax(rng.normal(size=(5, 2)))
-    new_clf, new_opt = eac_train_step(clf, F, targets, opt)
-    assert np.array_equal(new_clf.weights, clf.weights)
-    assert np.array_equal(new_clf.bias, clf.bias)
-    assert new_opt.step == 1
+    assert eac_train_step(state, F, targets) is None
+    assert np.array_equal(state.params, before)
+    assert state.step == 1
 
 
 def test_training_reduces_loss():
     rng = np.random.default_rng(5)
     F = np.vstack([rng.normal(size=(20, 4)) + 3, rng.normal(size=(20, 4)) - 3])
     targets = one_hot(HardLabels(np.repeat([0, 1], 20), 2))
-    clf = LinearClassifier.zeros(4, 2)
-    opt = AdamState.init(4, 2)
-    initial = eac_loss(classifier_forward(clf, F), targets, gamma_ent=0.0)
+    state = TrainState(4, 2)
+    initial = eac_loss(classifier_forward(state, F), targets, gamma_ent=0.0)
     for _ in range(200):
-        clf, opt = eac_train_step(clf, F, targets, opt, gamma_ent=0.0)
-    final = eac_loss(classifier_forward(clf, F), targets, gamma_ent=0.0)
+        eac_train_step(state, F, targets, gamma_ent=0.0)
+    final = eac_loss(classifier_forward(state, F), targets, gamma_ent=0.0)
     assert final < initial
 
 
@@ -168,11 +183,10 @@ def test_training_is_deterministic():
     targets = softmax(rng.normal(size=(10, 4)))
 
     def run():
-        clf = LinearClassifier.zeros(3, 4)
-        opt = AdamState.init(3, 4)
+        state = TrainState(3, 4)
         for _ in range(25):
-            clf, opt = eac_train_step(clf, F, targets, opt)
-        return clf
+            eac_train_step(state, F, targets)
+        return state.classifier()
 
     a, b = run(), run()
     assert np.array_equal(a.weights, b.weights)
@@ -181,20 +195,60 @@ def test_training_is_deterministic():
 
 def test_train_step_can_freeze_bias():
     rng = np.random.default_rng(7)
-    clf = LinearClassifier.zeros(3, 2)
-    opt = AdamState.init(3, 2)
+    state = TrainState(3, 2)
     F = rng.normal(size=(5, 3))
     targets = softmax(rng.normal(size=(5, 2)))
-    clf, _ = eac_train_step(clf, F, targets, opt, update_bias=False)
-    assert np.array_equal(clf.bias, np.zeros(2))
-    assert not np.array_equal(clf.weights, np.zeros((3, 2)))
+    eac_train_step(state, F, targets, update_bias=False)
+    assert np.array_equal(state.bias, np.zeros(2))
+    assert not np.array_equal(state.weights, np.zeros((3, 2)))
 
 
 def test_train_step_rejects_nonfinite():
-    clf = LinearClassifier(np.ones((2, 2)), np.zeros(2))
-    opt = AdamState.init(2, 2)
+    state = _state(2, 2, weights=np.ones((2, 2)))
+    before = [state.params.copy(), state.m.copy(), state.v.copy()]
     with np.errstate(all="ignore"), pytest.raises(NumericError):
-        eac_train_step(clf, np.array([[1e308, 1e308]]), np.array([[1.0, 0.0]]), opt)
+        eac_train_step(state, np.array([[1e308, 1e308]]), np.array([[1.0, 0.0]]))
+    assert state.step == 0
+    for now, was in zip((state.params, state.m, state.v), before):
+        assert np.array_equal(now, was)
+
+
+def test_train_step_rejects_targets_of_another_shape():
+    state = TrainState(2, 3)
+    with pytest.raises(ValueError, match="does not match targets"):
+        eac_train_step(state, np.ones((4, 2)), np.full((1, 3), 1.0 / 3))
+    assert state.step == 0
+
+
+def test_classifier_is_a_read_only_copy_of_the_state():
+    state = _state(3, 2, weights=np.arange(6.0).reshape(3, 2), bias=[1.0, 2.0])
+    clf = state.classifier()
+    state.params += 1.0
+    assert np.array_equal(clf.weights, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(clf.bias, [1.0, 2.0])
+    assert not clf.weights.flags.writeable
+
+
+@pytest.mark.parametrize("c", [3, 10])
+@pytest.mark.parametrize("gamma, weight_decay, update_bias", [(1.0, 0.0, True), (0.0, 0.1, True), (0.5, 0.0, False)])
+def test_train_steps_match_the_functional_reference(c, gamma, weight_decay, update_bias):
+    # Targets from softmax are column-major, one-hot gathers row-major; the
+    # step must agree with the reference on both.
+    rng = np.random.default_rng(11)
+    F = rng.normal(size=(37, 6))
+    soft = softmax(rng.normal(size=(37, c)) * 2)
+    hard = one_hot(HardLabels(rng.integers(0, c, size=37), c))
+    state = TrainState(6, c, lr=0.05)
+    clf, opt = LinearClassifier.zeros(6, c), AdamState.init(6, c, 0.05)
+    for step in range(30):
+        targets = soft if step % 2 else hard
+        kw = dict(gamma_ent=gamma, weight_decay=weight_decay, update_bias=update_bias)
+        eac_train_step(state, F, targets, **kw)
+        clf, opt = functional_train_step(clf, F, targets, opt, **kw)
+    assert state.step == opt.step == 30
+    assert np.abs(state.weights - clf.weights).max() < 1e-12
+    assert np.abs(state.bias - clf.bias).max() < 1e-12
+    assert np.abs(state.m[:-1] - opt.m_w).max() < 1e-12 and np.abs(state.v[-1] - opt.v_b).max() < 1e-12
 
 
 # ---------------------------------------------------------------- label update

@@ -12,7 +12,9 @@ from labelpure.evaluate import (
     train_linear_ce,
     train_linear_on_targets,
 )
-from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split
+from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_symmetric
+
+from oracles import reference_train_linear_ce
 
 
 # ---------------------------------------------------------------- training
@@ -69,6 +71,29 @@ def test_weight_decay_shrinks_weights():
     plain = train_linear_ce(features, labels, TrainConfig(epochs=30, seed=0))
     decayed = train_linear_ce(features, labels, TrainConfig(epochs=30, seed=0, weight_decay=5.0))
     assert np.linalg.norm(decayed.weights) < np.linalg.norm(plain.weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_targets_are_refused_before_training(bad):
+    targets = np.full((6, 3), 1.0 / 3)
+    targets[4] = [bad, 0.0, 1.0]
+    features = FeatureMatrix(np.ones((6, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        train_linear_on_targets(features, targets, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("c", [5, 10])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_retraining_matches_the_functional_reference(c, weight_decay):
+    spec = MixtureSpec(300, 12, c, 3.0, seed=c)
+    (features, clean), _, _ = gen_gaussian_mixture_split(spec, n_val=c)
+    labels = inject_symmetric(clean, 0.4, seed=1)
+    cfg = TrainConfig(epochs=6, batch=64, lr=0.05, seed=2, weight_decay=weight_decay)
+    clf = train_linear_ce(features, labels, cfg)
+    ref = reference_train_linear_ce(features, labels, cfg)
+    assert np.abs(clf.weights - ref.weights).max() < 1e-12
+    assert np.abs(clf.bias - ref.bias).max() < 1e-12
+    assert np.abs(ref.weights).max() > 0.1
 
 
 def test_train_config_validation():

@@ -12,8 +12,9 @@ from labelpure.data import (
     one_hot,
     softmax,
 )
-from labelpure.eac import EacConfig
-from labelpure.ipc import IpcConfig
+from labelpure import purifier
+from labelpure.eac import EacConfig, eac_label_update
+from labelpure.ipc import IpcConfig, ipc_step
 from labelpure.noise import (
     MixtureSpec,
     gen_gaussian_mixture_split,
@@ -28,6 +29,8 @@ from labelpure.purifier import (
     purify,
     save_report,
 )
+
+from oracles import reference_purify
 
 
 def _small_problem(seed=0, n=64, d=6, c=3, n_val=12):
@@ -108,19 +111,80 @@ def test_truth_tracking_never_changes_outputs():
     assert "final_accuracy" not in report_a.summary
 
 
-def test_tracked_accuracy_equals_a_full_recount():
-    # 2 iterations per epoch, a replacement every 3: epoch 0 ends on a ridge
-    # step, epoch 1 on a ridge step after a replacement, epoch 2 on a replacement.
-    # The first k epochs of a run equal a run of k epochs. A large eta makes
-    # ridge steps flip labels.
+def test_tracked_accuracy_equals_a_full_recount(monkeypatch):
+    # Every record's acc equals a recount over a shadow copy of the logits,
+    # which takes the rows each ridge step returns and the matrix each
+    # replacement returns. 2 iterations per epoch and a replacement every 3, so
+    # records follow ridge steps before and after replacements as well as
+    # replacements; a large eta makes ridge steps flip labels.
     features, clean, noisy, val = _small_problem()
-    cfg = _quick_config(track_truth=clean, ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3))
-    _, _, report = purify(features, noisy, val, cfg)
-    assert report.records[0].acc != label_accuracy(noisy, clean)
-    for epochs in (1, 2, 3):
-        _, purified, _ = purify(features, noisy, val, replace(cfg, epochs=epochs))
-        last = [r for r in report.records if r.epoch == epochs - 1][-1]
-        assert last.acc == label_accuracy(purified, clean)
+    cfg = _quick_config(track_truth=clean, ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3), epochs=4)
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    batches = iter(
+        perm[lo : lo + cfg.batch_size]
+        for perm in (rng.permutation(features.n) for _ in range(cfg.epochs))
+        for lo in range(0, features.n, cfg.batch_size)
+    )
+    shadow = one_hot(noisy) * cfg.init_scale
+    recounts = []
+
+    def ridge_step(rows, grad, eta):
+        out = ipc_step(rows, grad, eta)
+        shadow[next(batches)] = out
+        return out
+
+    def replacement(Y, logits_all, eta):
+        out = eac_label_update(Y, logits_all, eta)
+        shadow[...] = out
+        return out
+
+    def record(**fields):
+        recounts.append(float(np.mean(np.argmax(shadow, axis=1) == clean.values)))
+        return IterationRecord(**fields)
+
+    monkeypatch.setattr(purifier, "ipc_step", ridge_step)
+    monkeypatch.setattr(purifier, "eac_label_update", replacement)
+    monkeypatch.setattr(purifier, "IterationRecord", record)
+    _, purified, report = purify(features, noisy, val, cfg)
+    assert [r.acc for r in report.records] == recounts
+    assert len(recounts) == 8 and next(batches, None) is None
+    assert recounts[0] != label_accuracy(noisy, clean) and len(set(recounts)) > 2
+    assert recounts[-1] == label_accuracy(purified, clean)
+
+
+def _reference_problem(c, d, n=240, b=48):
+    spec = MixtureSpec(n, d, c, 3.0, seed=c + d)
+    train, val, _ = gen_gaussian_mixture_split(spec, n_val=4 * c)
+    noisy = inject_symmetric(train[1], 0.4, seed=1)
+    return train[0], noisy, CleanValidationSet(val[0], one_hot(val[1])), b
+
+
+@pytest.mark.parametrize(
+    "c, d, eac, steps",
+    [
+        (5, 8, {}, 1),
+        (10, 8, {}, 1),
+        (5, 60, {}, 1),
+        (10, 60, {}, 1),
+        (5, 8, {"hard_targets": True}, 1),
+        (10, 60, {"blend_space": "probability", "eta": 0.6}, 1),
+        (5, 60, {}, 2),
+        (10, 8, {"use_bias": False}, 1),
+    ],
+)
+def test_purify_matches_the_sequential_reference(c, d, eac, steps):
+    # d = 8 takes the primal ridge factor and d = 60 > b = 48 the dual one; the
+    # reference builds the primal operator explicitly in both cases.
+    features, noisy, val, b = _reference_problem(c, d)
+    cfg = PurifierConfig(
+        ipc=IpcConfig(eta=2.0), eac=EacConfig(period=4, lr=0.05, **eac),
+        batch_size=b, epochs=5, eac_steps_per_iter=steps,
+    )
+    logits, purified, _ = purify(features, noisy, val, cfg)
+    ref = reference_purify(features, noisy, val, cfg)
+    assert np.array_equal(purified.values, np.argmax(ref, axis=1))
+    assert np.abs(logits.values - ref).max() < 1e-12
+    assert not np.array_equal(purified.values, noisy.values)
 
 
 def test_purify_is_deterministic():
