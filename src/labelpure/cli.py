@@ -481,7 +481,7 @@ _REPORT_OPTIONS = (
 def _cmd_report(cfg: dict) -> tuple:
     import csv
 
-    from .purifier import IterationRecord, load_report
+    from .report import IterationRecord, load_report
 
     def cell(value):
         return "" if value is None else int(value) if isinstance(value, bool) else value

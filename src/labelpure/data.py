@@ -7,6 +7,7 @@ matrix); the soft labels any consumer sees are always the row-softmax of
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,22 +21,33 @@ MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIQI")  # magic, version, rows (u64), dim (u32)
 
+# Values per block when a feature matrix is checked, read or written a piece
+# at a time, so no temporary grows with the matrix (256 KiB of f32).
+_CHUNK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """N x d matrix of frozen per-sample embeddings (rows are samples)."""
+    """N x d matrix of frozen per-sample embeddings (rows are samples).
+
+    A C-contiguous float64 input is not copied: ``values`` is a read-only
+    view of it, so the caller must not write to that array afterwards. Any
+    other dtype or layout is converted once.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64).view()
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(
                 f"feature matrix must be 2-D with at least one row and one "
                 f"column, got shape {np.shape(self.values)}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature matrix contains non-finite entries")
+        step = max(1, _CHUNK_VALUES // v.shape[1])
+        for lo in range(0, v.shape[0], step):
+            if not np.isfinite(v[lo : lo + step]).all():
+                raise ValueError("feature matrix contains non-finite entries")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -56,7 +68,11 @@ class HardLabels:
     n_classes: int
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.int64)
+        raw = np.asarray(self.values)
+        with np.errstate(invalid="ignore"):
+            v = np.array(raw, dtype=np.int64)
+        if raw.dtype != v.dtype and not np.array_equal(v, raw):
+            raise ValueError(f"labels must be whole class indices; casting {raw.dtype} to int64 changed some")
         if v.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {np.shape(self.values)}")
         if self.n_classes < 1:
@@ -202,9 +218,14 @@ def write_features(matrix: FeatureMatrix, path: str | Path, format: str = "binar
     """
     path = Path(path)
     if format == "binary":
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim)
-        payload = matrix.values.astype("<f4").tobytes(order="C")
-        path.write_bytes(header + payload)
+        flat = matrix.values.reshape(-1)
+        buf = np.empty(min(_CHUNK_VALUES, flat.size), dtype="<f4")
+        with path.open("wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim))
+            for lo in range(0, flat.size, buf.size):
+                chunk = buf[: flat.size - lo]
+                np.copyto(chunk, flat[lo : lo + chunk.size], casting="same_kind")
+                fh.write(chunk)
     elif format == "csv":
         with path.open("w", encoding="utf-8") as fh:
             for row in matrix.values:
@@ -229,20 +250,44 @@ def load_features(path: str | Path, format: str = "binary") -> FeatureMatrix:
 
 
 def _load_features_binary(path: Path) -> FeatureMatrix:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(
-            f"{path}: truncated header: need {_HEADER.size} bytes, file has {len(raw)}"
-        )
-    magic, version, rows, dim = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0: {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 8")
-    if rows < 1 or dim < 1:
-        raise FormatError(f"{path}: invalid dimensions {rows}x{dim} in header")
-    expected = rows * dim * 4
-    have = len(raw) - _HEADER.size
+    """Validate the header against the file size, then fill one float64
+    matrix from f32 chunks, checking each chunk as it arrives."""
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise FormatError(
+                f"{path}: truncated header: need {_HEADER.size} bytes, file has {len(raw)}"
+            )
+        magic, version, rows, dim = _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic at byte offset 0: {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte offset 8")
+        if rows < 1 or dim < 1:
+            raise FormatError(f"{path}: invalid dimensions {rows}x{dim} in header")
+        total = rows * dim
+        _check_payload_size(path, size - _HEADER.size, total * 4)
+
+        out = np.empty((rows, dim), dtype=np.float64)
+        flat = out.reshape(-1)
+        buf = np.empty(min(_CHUNK_VALUES, total), dtype="<f4")
+        for lo in range(0, total, buf.size):
+            chunk = buf[: total - lo]
+            got = fh.readinto(chunk)
+            if got < chunk.nbytes:  # the file shrank after the size check
+                _check_payload_size(path, lo * 4 + got, total * 4)
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                idx = lo + int(np.argmin(finite))
+                raise FormatError(f"{path}: non-finite value at byte offset {_HEADER.size + idx * 4}")
+            flat[lo : lo + chunk.size] = chunk
+        if fh.read(1):
+            _check_payload_size(path, total * 4 + 1, total * 4)
+    return FeatureMatrix(out)
+
+
+def _check_payload_size(path: Path, have: int, expected: int) -> None:
     if have < expected:
         raise FormatError(
             f"{path}: truncated payload at byte offset {_HEADER.size + have}: "
@@ -250,12 +295,6 @@ def _load_features_binary(path: Path) -> FeatureMatrix:
         )
     if have > expected:
         raise FormatError(f"{path}: trailing data at byte offset {_HEADER.size + expected}")
-    flat = np.frombuffer(raw, dtype="<f4", count=rows * dim, offset=_HEADER.size)
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise FormatError(f"{path}: non-finite value at byte offset {_HEADER.size + idx * 4}")
-    return FeatureMatrix(flat.reshape(rows, dim))  # converts to float64 once
 
 
 def _read_csv_rows(path: Path, row_ok: Callable[[list[float]], bool], problem: str, what: str) -> np.ndarray:

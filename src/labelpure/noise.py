@@ -97,27 +97,26 @@ def gen_gaussian_mixture_split(
     sizes = (spec.n, n_val, n_test)
     counts = [_balanced_counts(size, spec.classes) for size in sizes]
 
-    blocks: list[list[np.ndarray]] = [[], [], []]
-    label_blocks: list[list[np.ndarray]] = [[], [], []]
+    # Each split's rows are drawn class-major straight into one buffer: class
+    # k's train rows, then its validation and test rows, then class k+1's.
+    buffers: list[np.ndarray | None] = [np.empty((size, spec.dim)) for size in sizes]
+    ends = [np.cumsum(cnt) for cnt in counts]
     for k in range(spec.classes):
-        total = sum(int(cnt[k]) for cnt in counts)
-        draws = means[k] + rng.standard_normal((total, spec.dim))
-        offset = 0
-        for s in range(3):
-            take = int(counts[s][k])
-            blocks[s].append(draws[offset : offset + take])
-            label_blocks[s].append(np.full(take, k, dtype=np.int64))
-            offset += take
+        for buf, end, cnt in zip(buffers, ends, counts):
+            rows = buf[end[k] - cnt[k] : end[k]]
+            rng.standard_normal(out=rows)
+            rows += means[k]
 
     out: list[tuple[FeatureMatrix, HardLabels] | None] = []
     for s, size in enumerate(sizes):
         if size == 0:
             out.append(None)
             continue
-        feats = np.concatenate(blocks[s])
-        labs = np.concatenate(label_blocks[s])
         perm = rng.permutation(size)
-        out.append((FeatureMatrix(feats[perm]), HardLabels(labs[perm], spec.classes)))
+        feats = buffers[s][perm]
+        buffers[s] = None  # drop the unshuffled rows before the next split's gather
+        labels = np.repeat(np.arange(spec.classes, dtype=np.int64), counts[s])
+        out.append((FeatureMatrix(feats), HardLabels(labels[perm], spec.classes)))
     train = out[0]
     assert train is not None
     return train, out[1], out[2]

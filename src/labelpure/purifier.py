@@ -1,14 +1,12 @@
 """Orchestration of the correction loop: per-batch ridge hypergradient steps
-interleaved with classifier training and periodic label replacement, plus the
-per-iteration report.
+interleaved with classifier training and periodic label replacement. The
+per-iteration report it returns is defined in ``labelpure.report``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -29,7 +27,8 @@ from .errors import NumericError
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
 from .noise import label_accuracy
 
-REPORT_SCHEMA = 1
+# The CLI and traced benchmark runs look save_report up on this module.
+from .report import REPORT_SCHEMA, CorrectionReport, IterationRecord, save_report  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,26 +65,6 @@ class PurifierConfig:
             raise ValueError(f"eac_steps_per_iter must be >= 1, got {self.eac_steps_per_iter}")
         if not (self.use_ipc or self.use_eac):
             raise ValueError("at least one of use_ipc / use_eac must be enabled")
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One row of the correction report (one ridge/classifier iteration)."""
-
-    p: int
-    epoch: int
-    val_loss: float | None
-    grad_norm: float | None
-    eac_update: bool
-    acc: float | None = None
-
-
-@dataclass
-class CorrectionReport:
-    """Per-iteration records plus a run summary."""
-
-    records: list[IterationRecord]
-    summary: dict
 
 
 def purify(
@@ -206,36 +185,3 @@ def purify(
         summary["initial_accuracy"] = label_accuracy(noisy, truth)
         summary["final_accuracy"] = label_accuracy(purified, truth)
     return logits, purified, CorrectionReport(records=records, summary=summary)
-
-
-def save_report(report: CorrectionReport, path: str | Path) -> None:
-    """Write the report as JSON lines: one record per iteration, then a summary object.
-
-    Accuracy keys appear only when ground truth was tracked.
-    """
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in report.records:
-            row = asdict(rec)
-            if rec.acc is None:
-                del row["acc"]
-            fh.write(json.dumps(row) + "\n")
-        fh.write(json.dumps({"summary": report.summary}) + "\n")
-
-
-def load_report(path: str | Path) -> CorrectionReport:
-    """Read a report written by save_report."""
-    records: list[IterationRecord] = []
-    summary: dict | None = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if "summary" in row:
-                summary = row["summary"]
-            else:
-                records.append(IterationRecord(**row))
-    if summary is None:
-        raise ValueError(f"{path}: missing summary line")
-    return CorrectionReport(records=records, summary=summary)

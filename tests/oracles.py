@@ -3,8 +3,9 @@ differences, the sequential primal hypergradient, and a sequential reference
 of the whole purify and retraining loops. These deliberately avoid the
 library's analytic paths; the ridge minimizer sees only loss gradients, the
 finite-difference oracles drive public forward computations alone, the primal
-reference builds the ridge operator explicitly, and the reference loops use a
-row-major softmax and a functional Adam step that returns fresh arrays.
+reference builds the ridge operator explicitly, the reference loops use a
+row-major softmax and a functional Adam step that returns fresh arrays, and
+the reference mixture generator concatenates per-class blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, one_ho
 from labelpure.eac import LinearClassifier, classifier_forward, eac_loss
 from labelpure.evaluate import TrainConfig
 from labelpure.ipc import IpcConfig, ridge_fit, ridge_predict, validation_loss
+from labelpure.noise import MixtureSpec, _balanced_counts, _cluster_means
 from labelpure.purifier import PurifierConfig
 
 
@@ -274,3 +276,35 @@ def reference_train_linear_ce(features: FeatureMatrix, labels: HardLabels, cfg: 
             idx = perm[lo : lo + cfg.batch]
             clf, opt = functional_train_step(clf, F[idx], targets[idx], opt, 0.0, cfg.weight_decay)
     return clf
+
+
+def reference_gaussian_mixture_split(spec: MixtureSpec, n_val: int = 0, n_test: int = 0):
+    """The mixture generator built from per-class blocks: each class's draws for
+    all three splits in one array, sliced per split, concatenated, then shuffled."""
+    rng = np.random.default_rng(spec.seed)
+    means = _cluster_means(rng, spec)
+    sizes = (spec.n, n_val, n_test)
+    counts = [_balanced_counts(size, spec.classes) for size in sizes]
+
+    blocks: list[list[np.ndarray]] = [[], [], []]
+    label_blocks: list[list[np.ndarray]] = [[], [], []]
+    for k in range(spec.classes):
+        total = sum(int(cnt[k]) for cnt in counts)
+        draws = means[k] + rng.standard_normal((total, spec.dim))
+        offset = 0
+        for s in range(3):
+            take = int(counts[s][k])
+            blocks[s].append(draws[offset : offset + take])
+            label_blocks[s].append(np.full(take, k, dtype=np.int64))
+            offset += take
+
+    out = []
+    for s, size in enumerate(sizes):
+        if size == 0:
+            out.append(None)
+            continue
+        feats = np.concatenate(blocks[s])
+        labs = np.concatenate(label_blocks[s])
+        perm = rng.permutation(size)
+        out.append((FeatureMatrix(feats[perm]), HardLabels(labs[perm], spec.classes)))
+    return tuple(out)

@@ -15,7 +15,8 @@ from labelpure.cli import (
 )
 from labelpure.data import load_features, load_hard_labels
 from labelpure.evaluate import load_classifier
-from labelpure.purifier import CorrectionReport, IterationRecord, load_report, save_report
+from labelpure.purifier import save_report
+from labelpure.report import CorrectionReport, IterationRecord, load_report
 
 
 def _synth(tmp_path, n=800, dim=16, classes=4, sep=8.0, seed=3, n_val=80, n_test=400):
@@ -155,6 +156,22 @@ def test_report_files_are_pinned_bytes(tmp_path):
         b"1,0,,,1,\r\n"
         b"2,1,0.25,1.5,0,0.75\r\n"
     )
+
+
+def test_report_command_loads_neither_numpy_nor_scipy(tmp_path):
+    report = CorrectionReport([IterationRecord(p=1, epoch=0, val_loss=0.5, grad_norm=1.0, eac_update=False)], {})
+    save_report(report, tmp_path / "rep.jsonl")
+    script = (
+        "import sys\n"
+        "from labelpure.cli import dispatch\n"
+        "code = dispatch(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    args = ["report", "--in", str(tmp_path / "rep.jsonl"), "--csv", str(tmp_path / "rep.csv")]
+    out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "rep.csv").read_text().splitlines()[1] == "1,0,0.5,1.0,0,"
 
 
 # ---------------------------------------------------------------- manifests & replay

@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from labelpure import data
 from labelpure.data import (
+    _CHUNK_VALUES,
     CleanValidationSet,
     FeatureMatrix,
     HardLabels,
@@ -58,6 +61,31 @@ def test_feature_matrix_is_immutable():
     m = FeatureMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
         m.values[0, 0] = 5.0
+
+
+def test_feature_matrix_shares_float64_input_and_converts_the_rest():
+    values = np.arange(6.0).reshape(3, 2)
+    m = FeatureMatrix(values)
+    assert np.shares_memory(m.values, values) and values.flags.writeable
+    for other in (values.astype(np.float32), np.asfortranarray(values), values[:, ::-1], values.tolist()):
+        m = FeatureMatrix(other)
+        assert not np.shares_memory(m.values, other)
+        assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
+        assert np.array_equal(m.values, np.asarray(other, dtype=np.float64))
+
+
+def test_feature_matrix_finds_a_nonfinite_entry_past_the_first_block():
+    values = np.zeros((3 * _CHUNK_VALUES // 8, 8))
+    values[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FeatureMatrix(values)
+
+
+def test_hard_labels_refuse_non_integral_values():
+    assert HardLabels(np.array([0.0, 1.0, 2.0]), 3).values.tolist() == [0, 1, 2]
+    for bad in ([0.5, 1.9, 2.2], [0.0, np.nan], [0.0, 1e30]):
+        with pytest.raises(ValueError, match="whole class indices"):
+            HardLabels(np.array(bad), 3)
 
 
 def test_hard_labels_bounds():
@@ -231,20 +259,77 @@ def test_binary_round_trip_random(tmp_path):
     assert np.array_equal(load_features(path).values, m.values)
 
 
-def test_binary_load_converts_to_float64_once(tmp_path):
-    rng = np.random.default_rng(1)
-    path = tmp_path / "f.bin"
-    write_features(FeatureMatrix(rng.normal(size=(2000, 64)).astype(np.float32)), path)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        m = load_features(path)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_binary_load_converts_to_float64_once(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "f.bin"
+    write_features(FeatureMatrix(rng.normal(size=(20000, 64)).astype(np.float32)), path)
+    m, peak = _traced_peak(load_features, path)
     assert m.values.dtype == np.float64
-    # f32 file bytes + one float64 copy + the finiteness masks; a second
-    # float64 copy would take the peak past 2x.
-    assert peak < 2 * m.values.nbytes, peak / m.values.nbytes
+    # One float64 result plus one f32 chunk and its finiteness mask; the whole
+    # file's bytes held beside the result would take the peak past 1.5x.
+    assert peak < 1.2 * m.values.nbytes, peak / m.values.nbytes
+
+
+def test_binary_write_streams_f32_chunks(tmp_path):
+    values = np.random.default_rng(2).normal(size=(20000, 64))
+    path = tmp_path / "f.bin"
+    _, peak = _traced_peak(write_features, FeatureMatrix(values), path)
+    assert peak < 0.25 * values.nbytes, peak / values.nbytes
+    header = struct.pack("<8sIQI", b"DMLPFEAT", 1, 20000, 64)
+    assert path.read_bytes() == header + values.astype("<f4").tobytes()
+
+
+def test_binary_header_claiming_more_rows_than_the_file_holds(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(struct.pack("<8sIQI", b"DMLPFEAT", 1, 1 << 40, 512) + b"\x00" * 8)
+    # Allocating the claimed 4 PiB first would raise MemoryError instead.
+    with pytest.raises(FormatError, match="truncated payload at byte offset 32"):
+        load_features(path)
+
+
+def test_binary_nonfinite_past_the_first_chunk_names_offset(tmp_path):
+    path = tmp_path / "f.bin"
+    write_features(FeatureMatrix(np.zeros((2 * _CHUNK_VALUES + 5, 1))), path)
+    raw = bytearray(path.read_bytes())
+    offset = 24 + (_CHUNK_VALUES + 3) * 4
+    raw[offset : offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"non-finite value at byte offset {offset}$"):
+        load_features(path)
+
+
+def test_binary_payload_ending_mid_chunk_names_offset(tmp_path):
+    path = tmp_path / "f.bin"
+    rows = 3 * _CHUNK_VALUES // 4
+    write_features(FeatureMatrix(np.ones((rows, 4))), path)
+    cut = 24 + (_CHUNK_VALUES + 10) * 4 + 2
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(FormatError, match=f"truncated payload at byte offset {cut}: expected {rows * 16} payload"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("change, message", [(-6, "truncated payload at byte offset {end}"), (3, "trailing data at byte offset {end}")])
+def test_binary_file_resized_during_the_read_names_offset(tmp_path, monkeypatch, change, message):
+    path = tmp_path / "f.bin"
+    write_features(FeatureMatrix(np.ones((_CHUNK_VALUES + 7, 2))), path)
+    end = path.stat().st_size
+    # The size check passes on the written size; the bytes then read differ.
+    monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=end))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
+    end += min(change, 0)
+    with pytest.raises(FormatError, match=message.format(end=end)):
+        load_features(path)
 
 
 def test_binary_truncated_payload(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from labelpure.noise import (
     label_accuracy,
 )
 from labelpure.data import HardLabels
+
+from oracles import reference_gaussian_mixture_split
 
 
 # ---------------------------------------------------------------- mixture
@@ -69,6 +73,43 @@ def test_mixture_separable_benchmark_clean_probe():
     train, _, test = gen_gaussian_mixture_split(spec, n_test=1000)
     clf = train_linear_ce(train[0], train[1], TrainConfig(seed=0))
     assert evaluate_classifier(clf, test[0], test[1]) >= 0.99
+
+
+@pytest.mark.parametrize(
+    "spec, n_val, n_test",
+    [
+        (MixtureSpec(2000, 32, 5, 8.0, seed=0), 100, 1000),  # the paper benchmark
+        (MixtureSpec(50, 4, 3, 2.0, seed=1), 0, 0),
+        (MixtureSpec(50, 4, 3, 2.0, seed=2), 0, 7),
+        (MixtureSpec(50, 4, 3, 2.0, seed=3), 9, 0),
+        (MixtureSpec(103, 6, 7, 3.0, seed=4), 11, 13),  # no split divisible by the classes
+        (MixtureSpec(9, 3, 2, 1.5, seed=5), 1, 3),  # 2 classes, a 1-row split
+        (MixtureSpec(40, 1, 4, 2.0, seed=6), 5, 6),  # dim 1
+        (MixtureSpec(30, 5, 10, 4.0, seed=7), 3, 4),  # splits smaller than the class count
+    ],
+)
+def test_mixture_split_matches_the_block_reference_bitwise(spec, n_val, n_test):
+    got = gen_gaussian_mixture_split(spec, n_val, n_test)
+    want = reference_gaussian_mixture_split(spec, n_val, n_test)
+    for part, ref in zip(got, want):
+        assert (part is None) == (ref is None)
+        if part is not None:
+            assert part[0].values.tobytes() == ref[0].values.tobytes()
+            assert np.array_equal(part[1].values, ref[1].values)
+
+
+def test_mixture_split_holds_each_matrix_once():
+    spec = MixtureSpec(20000, 64, 10, 6.0, seed=0)
+    tracemalloc.start()
+    try:
+        splits = gen_gaussian_mixture_split(spec, n_val=500, n_test=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(f.values.nbytes + y.values.nbytes for f, y in splits)
+    # The three unshuffled split buffers plus the train split's shuffled copy;
+    # per-class blocks and a concatenated copy would take the peak past 3x.
+    assert peak < 2.0 * size, peak / size
 
 
 def test_mixture_spec_validation():

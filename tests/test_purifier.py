@@ -21,14 +21,8 @@ from labelpure.noise import (
     inject_symmetric,
     label_accuracy,
 )
-from labelpure.purifier import (
-    CorrectionReport,
-    IterationRecord,
-    PurifierConfig,
-    load_report,
-    purify,
-    save_report,
-)
+from labelpure.purifier import PurifierConfig, purify, save_report
+from labelpure.report import CorrectionReport, IterationRecord, load_report
 
 from oracles import reference_purify
 
