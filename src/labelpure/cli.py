@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,19 +38,6 @@ _REPLAY_HELP = "JSON config file or manifest to replay"
 # Adam's constants in ``labelpure.eac``, which older config files and
 # manifests carry as keys; they replay only at these values.
 _RETIRED_ADAM_KEYS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every output."""
-
-    command: str
-    artifact_version: str
-    created_utc: str
-    config: dict
-    inputs: dict
-    outputs: dict
-    seeds: dict
 
 
 class _Opt(NamedTuple):
@@ -101,21 +88,16 @@ def _sha256(path: str | Path) -> str:
 def _write_manifest(path: str, command: str, config: dict, inputs: dict, outputs: dict, seeds: dict) -> None:
     from . import __version__
 
-    manifest = RunManifest(
-        command=command,
-        artifact_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        config=config,
-        inputs={name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
-        outputs={name: str(p) for name, p in outputs.items()},
-        seeds=seeds,
-    )
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
-
-
-def load_manifest(path: str | Path) -> RunManifest:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunManifest(**data)
+    manifest = {
+        "command": command,
+        "artifact_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "config": config,
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "outputs": {name: str(p) for name, p in outputs.items()},
+        "seeds": seeds,
+    }
+    Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, prefix: str = "") -> dict:
@@ -293,7 +275,7 @@ def _cmd_corrupt(cfg: dict) -> tuple:
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"], cfg["exact_count"])
-    elif cfg["kind"] == "asymmetric":
+    else:  # asymmetric, the only other choice of --kind
         if cfg["map"]:
             class_map = _parse_class_map(cfg["map"])
         elif labels.n_classes == 10:
@@ -302,8 +284,6 @@ def _cmd_corrupt(cfg: dict) -> tuple:
             raise ValueError(f"asymmetric noise over {labels.n_classes} classes needs an explicit --map")
         noisy = noise.inject_asymmetric(labels, cfg["ratio"], class_map, cfg["seed"], cfg["exact_count"])
         cfg["map"] = ",".join(f"{k}:{v}" for k, v in sorted(class_map.items()))
-    else:
-        raise ValueError(f"unknown noise kind {cfg['kind']!r}")
     data.write_hard_labels(noisy, cfg["out"])
     changed = float((noisy.values != labels.values).mean())
     print(f"corrupt: flipped {changed:.1%} of {len(labels)} labels -> {cfg['out']}")

@@ -11,7 +11,6 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -180,13 +179,6 @@ def one_hot(labels: HardLabels) -> np.ndarray:
     return np.eye(labels.n_classes, dtype=np.float64)[labels.values]
 
 
-def init_logits(labels: HardLabels, scale: float = 1.0) -> LabelLogits:
-    """One-hot initialization of the label logits, optionally scaled."""
-    if not scale > 0:
-        raise ValueError(f"init scale must be positive, got {scale}")
-    return LabelLogits(one_hot(labels) * scale)
-
-
 def effective_labels(logits: LabelLogits | np.ndarray, alpha: float) -> np.ndarray:
     """Soft labels softmax(alpha * logits), one probability row per sample."""
     if not alpha > 0:
@@ -210,48 +202,31 @@ def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
     return values / np.where(norms > 0, norms, 1.0)
 
 
-def write_features(matrix: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
+def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix to disk.
 
     The binary container stores IEEE-754 f32 values; matrices whose entries
     are f32-representable round-trip bitwise.
     """
-    path = Path(path)
-    if format == "binary":
-        flat = matrix.values.reshape(-1)
-        buf = np.empty(min(_CHUNK_VALUES, flat.size), dtype="<f4")
-        with path.open("wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim))
-            for lo in range(0, flat.size, buf.size):
-                chunk = buf[: flat.size - lo]
-                np.copyto(chunk, flat[lo : lo + chunk.size], casting="same_kind")
-                fh.write(chunk)
-    elif format == "csv":
-        with path.open("w", encoding="utf-8") as fh:
-            for row in matrix.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise ValueError(f"unknown feature format {format!r}")
+    flat = matrix.values.reshape(-1)
+    buf = np.empty(min(_CHUNK_VALUES, flat.size), dtype="<f4")
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim))
+        for lo in range(0, flat.size, buf.size):
+            chunk = buf[: flat.size - lo]
+            np.copyto(chunk, flat[lo : lo + chunk.size], casting="same_kind")
+            fh.write(chunk)
 
 
-def load_features(path: str | Path, format: str = "binary") -> FeatureMatrix:
+def load_features(path: str | Path) -> FeatureMatrix:
     """Load a feature matrix, validating the container byte-for-byte.
 
-    Binary layout: magic ``DMLPFEAT``, u32 version, u64 row count, u32 dim
-    (all little-endian), then rows*dim little-endian f32 values, row-major.
-    CSV: one comma-separated row of decimal floats per line.
+    Layout: magic ``DMLPFEAT``, u32 version, u64 row count, u32 dim (all
+    little-endian), then rows*dim little-endian f32 values, row-major. The
+    header is checked against the file size, then one float64 matrix is
+    filled from f32 chunks, each checked as it arrives.
     """
     path = Path(path)
-    if format == "binary":
-        return _load_features_binary(path)
-    if format == "csv":
-        return _load_features_csv(path)
-    raise ValueError(f"unknown feature format {format!r}")
-
-
-def _load_features_binary(path: Path) -> FeatureMatrix:
-    """Validate the header against the file size, then fill one float64
-    matrix from f32 chunks, checking each chunk as it arrives."""
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         raw = fh.read(_HEADER.size)
@@ -297,41 +272,6 @@ def _check_payload_size(path: Path, have: int, expected: int) -> None:
         raise FormatError(f"{path}: trailing data at byte offset {_HEADER.size + expected}")
 
 
-def _read_csv_rows(path: Path, row_ok: Callable[[list[float]], bool], problem: str, what: str) -> np.ndarray:
-    """Parse equal-width rows of comma-separated floats, skipping blank lines.
-
-    A row failing ``row_ok`` is reported as ``problem`` at its line; an empty
-    file as "no ``what`` rows".
-    """
-    rows: list[list[float]] = []
-    width = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(part) for part in line.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-                )
-            if not row_ok(row):
-                raise FormatError(f"{path}: line {lineno}: {problem}")
-            rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: no {what} rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _load_features_csv(path: Path) -> FeatureMatrix:
-    return FeatureMatrix(_read_csv_rows(path, lambda row: all(np.isfinite(row)), "non-finite value", "data"))
-
-
 def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
     """Write labels as text, one decimal class index per line."""
     Path(path).write_text("".join(f"{v}\n" for v in labels.values), encoding="utf-8")
@@ -368,9 +308,24 @@ def write_onehot_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def load_onehot_csv(path: str | Path) -> np.ndarray:
-    """Read a CSV one-hot label matrix, enforcing exact one-hot rows."""
-
-    def one_hot_row(row: list[float]) -> bool:
-        return all(v in (0.0, 1.0) for v in row) and sum(row) == 1.0
-
-    return _read_csv_rows(Path(path), one_hot_row, "not a one-hot row", "label")
+    """Read a CSV one-hot label matrix: equal-width rows of 0/1 values, one 1
+    per row; blank lines are skipped."""
+    path = Path(path)
+    rows: list[list[float]] = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(part) for part in line.split(",")]
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(row)}")
+            if not (all(v in (0.0, 1.0) for v in row) and sum(row) == 1.0):
+                raise FormatError(f"{path}: line {lineno}: not a one-hot row")
+            rows.append(row)
+    if not rows:
+        raise FormatError(f"{path}: no label rows")
+    return np.asarray(rows, dtype=np.float64)

@@ -38,10 +38,6 @@ class LinearClassifier:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
-    @classmethod
-    def zeros(cls, dim: int, n_classes: int) -> "LinearClassifier":
-        return cls(np.zeros((dim, n_classes)), np.zeros(n_classes))
-
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
@@ -132,35 +128,6 @@ def _logit_gradient(logits: np.ndarray, targets: np.ndarray, gamma_ent: float) -
     return (softmax(logits) - targets) / logits.shape[0]
 
 
-def eac_loss(logits: np.ndarray, targets: np.ndarray, gamma_ent: float = 1.0) -> float:
-    """Soft-target cross entropy plus entropy of the predictions, mean over rows."""
-    if gamma_ent < 0:
-        raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if logits.shape != targets.shape:
-        raise ValueError(f"logits shape {logits.shape} does not match targets {targets.shape}")
-    check_targets(targets)
-    logq, _, entropy, _ = softmax_entropy(logits)
-    return float((-(targets * logq).sum(axis=1) + gamma_ent * entropy).mean())
-
-
-def eac_gradients(
-    clf: LinearClassifier,
-    F: np.ndarray,
-    targets: np.ndarray,
-    gamma_ent: float = 1.0,
-    weight_decay: float = 0.0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus its analytic gradients w.r.t. classifier weights and bias."""
-    F = np.asarray(F, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    logits = classifier_forward(clf, F)
-    loss = eac_loss(logits, targets, gamma_ent)
-    grad_logits = _logit_gradient(logits, targets, gamma_ent)
-    return loss, F.T @ grad_logits + weight_decay * clf.weights, grad_logits.sum(axis=0)
-
-
 def eac_train_step(
     state: TrainState,
     F_batch: np.ndarray,
@@ -171,7 +138,8 @@ def eac_train_step(
     update_bias: bool = True,
 ) -> None:
     """One Adam update of the classifier in ``state``, in place, on a batch of
-    soft targets: the gradient of eac_loss plus weight decay on the weights.
+    soft targets: the gradient of the mean soft-target cross entropy plus
+    gamma_ent times the prediction entropy, plus weight decay on the weights.
 
     Only the targets' shape is checked here; callers hand in probability rows
     (see check_targets). A non-finite gradient raises before the state changes.

@@ -1,5 +1,5 @@
-"""Downstream use of purified labels: linear cross-entropy retraining,
-linear-probe evaluation, and held-out accuracy.
+"""Downstream use of purified labels: linear cross-entropy retraining and
+held-out accuracy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch < 1:
             raise ValueError(f"epochs and batch must be >= 1, got {self.epochs}, {self.batch}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
@@ -69,34 +71,6 @@ def evaluate_classifier(clf: LinearClassifier, features: FeatureMatrix, y: HardL
         raise ValueError(f"{features.n} feature rows vs {len(y)} labels")
     pred = np.argmax(classifier_forward(clf, features.values), axis=1)
     return float(np.mean(pred == y.values))
-
-
-def linear_probe(
-    train_features: FeatureMatrix,
-    clean_labels_subset: HardLabels,
-    test_features: FeatureMatrix,
-    y_test: HardLabels,
-    cfg: TrainConfig,
-) -> float:
-    """Train on a clean labeled subset only and return held-out accuracy.
-
-    The subset is put into a canonical order (by label, then by feature
-    values) before batching, so the probe does not depend on caller row order.
-    """
-    if len(clean_labels_subset) == 0:
-        raise ValueError("probe subset must be nonempty")
-    if len(clean_labels_subset) != train_features.n:
-        raise ValueError(
-            f"{train_features.n} subset feature rows vs {len(clean_labels_subset)} labels"
-        )
-    order = np.lexsort(
-        tuple(train_features.values[:, j] for j in range(train_features.dim - 1, -1, -1))
-        + (clean_labels_subset.values,)
-    )
-    ordered_f = FeatureMatrix(train_features.values[order])
-    ordered_y = HardLabels(clean_labels_subset.values[order], clean_labels_subset.n_classes)
-    clf = train_linear_ce(ordered_f, ordered_y, cfg)
-    return evaluate_classifier(clf, test_features, y_test)
 
 
 def save_classifier(clf: LinearClassifier, path: str | Path) -> None:

@@ -1,5 +1,5 @@
-"""Closed-form ridge correction: batch ridge fit, validation discrepancy,
-and the analytic gradient of that discrepancy with respect to label logits.
+"""Closed-form ridge correction: the validation discrepancy of a batch ridge
+fit and its analytic gradient with respect to label logits.
 
 The inner problem  min_w ||softmax(alpha Y) - F w||^2 + lam ||w||^2  has the
 closed form  w* = (F'F + lam I)^{-1} F' softmax(alpha Y), so the validation
@@ -58,15 +58,6 @@ class IpcConfig:
             raise ValueError(f"val_batch must be >= 1, got {self.val_batch}")
 
 
-@dataclass(frozen=True)
-class RidgeSolution:
-    """Minimizer of the batch ridge objective, d x c weights."""
-
-    weights: np.ndarray
-    lam: float
-    alpha: float
-
-
 def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = False) -> np.ndarray:
     """Lower Cholesky factor of F'F + lam I, or of the dual FF' + lam I, with lam
     scaled by the batch size b under ``normalize_gram``:
@@ -94,52 +85,6 @@ def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = Fa
 def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(L L')^{-1} rhs for the lower Cholesky factor L."""
     return dpotrs(factor, rhs, lower=1)[0]
-
-
-def ridge_fit(
-    F_t: np.ndarray,
-    Y_t: np.ndarray,
-    alpha: float,
-    lam: float,
-    normalize_gram: bool = False,
-) -> RidgeSolution:
-    """Solve the ridge regression of softmax(alpha * Y_t) onto the batch features.
-
-    Returns w* = (F'F + lam I)^{-1} F' softmax(alpha Y), computed by a
-    symmetric positive definite factorization, never an explicit inverse.
-    Raises LinAlgError when lam = 0 and the Gram matrix is singular.
-    """
-    F_t = np.asarray(F_t, dtype=np.float64)
-    Y_t = np.asarray(Y_t, dtype=np.float64)
-    if F_t.shape[0] != Y_t.shape[0]:
-        raise ValueError(f"batch size mismatch: {F_t.shape[0]} feature rows vs {Y_t.shape[0]} logit rows")
-    factor = _cholesky(F_t, lam, normalize_gram)
-    weights = _solve(factor, F_t.T @ softmax(alpha * Y_t))
-    return RidgeSolution(weights=weights, lam=lam, alpha=alpha)
-
-
-def ridge_predict(solution: RidgeSolution, F: np.ndarray) -> np.ndarray:
-    """Linear predictions F @ w*, one row per sample."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != solution.weights.shape[0]:
-        raise ValueError(
-            f"feature dim {F.shape[-1]} does not match solution dim {solution.weights.shape[0]}"
-        )
-    return F @ solution.weights
-
-
-def validation_loss(pred: np.ndarray, Y_v: np.ndarray, gamma_ent: float = 1.0) -> float:
-    """Mean squared discrepancy plus entropy of softmax(pred), averaged over rows."""
-    pred = np.asarray(pred, dtype=np.float64)
-    Y_v = np.asarray(Y_v, dtype=np.float64)
-    if pred.shape != Y_v.shape:
-        raise ValueError(f"prediction shape {pred.shape} does not match labels {Y_v.shape}")
-    if gamma_ent < 0:
-        raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
-    n_v = pred.shape[0]
-    sq = float(((pred - Y_v) ** 2).sum()) / n_v
-    _, _, entropy, _ = softmax_entropy(pred)
-    return sq + gamma_ent * float(entropy.sum()) / n_v
 
 
 def loss_and_label_gradient(

@@ -71,12 +71,6 @@ def _cluster_means(rng: np.random.Generator, spec: MixtureSpec) -> np.ndarray:
     raise RuntimeError("failed to place distinct cluster means")
 
 
-def gen_gaussian_mixture(spec: MixtureSpec) -> tuple[FeatureMatrix, HardLabels]:
-    """Draw one balanced sample of the mixture (class sizes within +/-1)."""
-    (features, labels), _, _ = gen_gaussian_mixture_split(spec)
-    return features, labels
-
-
 def gen_gaussian_mixture_split(
     spec: MixtureSpec, n_val: int = 0, n_test: int = 0
 ) -> tuple[

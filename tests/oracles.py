@@ -6,6 +6,13 @@ finite-difference oracles drive public forward computations alone, the primal
 reference builds the ridge operator explicitly, the reference loops use a
 row-major softmax and a functional Adam step that returns fresh arrays, and
 the reference mixture generator concatenates per-class blocks.
+
+The first section holds the decomposed forms the oracles are compared
+through: the ridge fit, its predictions and the validation loss, the
+classifier loss and its gradients, and a linear probe. The ridge fit factors
+and solves with the library's ``ipc._cholesky``/``_solve``, and the classifier
+gradients come from ``eac._logit_gradient``, the one ``eac_train_step`` uses,
+so checking these against the oracles checks those library paths too.
 """
 
 from __future__ import annotations
@@ -15,12 +22,130 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot
-from labelpure.eac import LinearClassifier, classifier_forward, eac_loss
-from labelpure.evaluate import TrainConfig
-from labelpure.ipc import IpcConfig, ridge_fit, ridge_predict, validation_loss
+from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax, softmax_entropy
+from labelpure.eac import LinearClassifier, _logit_gradient, check_targets, classifier_forward
+from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
+from labelpure.ipc import IpcConfig, _cholesky, _solve
 from labelpure.noise import MixtureSpec, _balanced_counts, _cluster_means
 from labelpure.purifier import PurifierConfig
+
+
+# ---------------------------------------------------------------- decomposed forms
+
+
+@dataclass(frozen=True)
+class RidgeSolution:
+    """Minimizer of the batch ridge objective, d x c weights."""
+
+    weights: np.ndarray
+    lam: float
+    alpha: float
+
+
+def ridge_fit(
+    F_t: np.ndarray,
+    Y_t: np.ndarray,
+    alpha: float,
+    lam: float,
+    normalize_gram: bool = False,
+) -> RidgeSolution:
+    """Solve the ridge regression of softmax(alpha * Y_t) onto the batch features.
+
+    Returns w* = (F'F + lam I)^{-1} F' softmax(alpha Y), computed by a
+    symmetric positive definite factorization, never an explicit inverse.
+    Raises LinAlgError when lam = 0 and the Gram matrix is singular.
+    """
+    F_t = np.asarray(F_t, dtype=np.float64)
+    Y_t = np.asarray(Y_t, dtype=np.float64)
+    if F_t.shape[0] != Y_t.shape[0]:
+        raise ValueError(f"batch size mismatch: {F_t.shape[0]} feature rows vs {Y_t.shape[0]} logit rows")
+    factor = _cholesky(F_t, lam, normalize_gram)
+    weights = _solve(factor, F_t.T @ softmax(alpha * Y_t))
+    return RidgeSolution(weights=weights, lam=lam, alpha=alpha)
+
+
+def ridge_predict(solution: RidgeSolution, F: np.ndarray) -> np.ndarray:
+    """Linear predictions F @ w*, one row per sample."""
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != solution.weights.shape[0]:
+        raise ValueError(
+            f"feature dim {F.shape[-1]} does not match solution dim {solution.weights.shape[0]}"
+        )
+    return F @ solution.weights
+
+
+def validation_loss(pred: np.ndarray, Y_v: np.ndarray, gamma_ent: float = 1.0) -> float:
+    """Mean squared discrepancy plus entropy of softmax(pred), averaged over rows."""
+    pred = np.asarray(pred, dtype=np.float64)
+    Y_v = np.asarray(Y_v, dtype=np.float64)
+    if pred.shape != Y_v.shape:
+        raise ValueError(f"prediction shape {pred.shape} does not match labels {Y_v.shape}")
+    if gamma_ent < 0:
+        raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
+    n_v = pred.shape[0]
+    sq = float(((pred - Y_v) ** 2).sum()) / n_v
+    _, _, entropy, _ = softmax_entropy(pred)
+    return sq + gamma_ent * float(entropy.sum()) / n_v
+
+
+def eac_loss(logits: np.ndarray, targets: np.ndarray, gamma_ent: float = 1.0) -> float:
+    """Soft-target cross entropy plus entropy of the predictions, mean over rows."""
+    if gamma_ent < 0:
+        raise ValueError(f"gamma_ent must be nonnegative, got {gamma_ent}")
+    logits = np.asarray(logits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if logits.shape != targets.shape:
+        raise ValueError(f"logits shape {logits.shape} does not match targets {targets.shape}")
+    check_targets(targets)
+    logq, _, entropy, _ = softmax_entropy(logits)
+    return float((-(targets * logq).sum(axis=1) + gamma_ent * entropy).mean())
+
+
+def eac_gradients(
+    clf: LinearClassifier,
+    F: np.ndarray,
+    targets: np.ndarray,
+    gamma_ent: float = 1.0,
+    weight_decay: float = 0.0,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss plus its analytic gradients w.r.t. classifier weights and bias."""
+    F = np.asarray(F, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    logits = classifier_forward(clf, F)
+    loss = eac_loss(logits, targets, gamma_ent)
+    grad_logits = _logit_gradient(logits, targets, gamma_ent)
+    return loss, F.T @ grad_logits + weight_decay * clf.weights, grad_logits.sum(axis=0)
+
+
+def linear_probe(
+    train_features: FeatureMatrix,
+    clean_labels_subset: HardLabels,
+    test_features: FeatureMatrix,
+    y_test: HardLabels,
+    cfg: TrainConfig,
+) -> float:
+    """Train on a clean labeled subset only and return held-out accuracy.
+
+    The subset is put into a canonical order (by label, then by feature
+    values) before batching, so the probe does not depend on caller row order.
+    """
+    if len(clean_labels_subset) == 0:
+        raise ValueError("probe subset must be nonempty")
+    if len(clean_labels_subset) != train_features.n:
+        raise ValueError(
+            f"{train_features.n} subset feature rows vs {len(clean_labels_subset)} labels"
+        )
+    order = np.lexsort(
+        tuple(train_features.values[:, j] for j in range(train_features.dim - 1, -1, -1))
+        + (clean_labels_subset.values,)
+    )
+    ordered_f = FeatureMatrix(train_features.values[order])
+    ordered_y = HardLabels(clean_labels_subset.values[order], clean_labels_subset.n_classes)
+    clf = train_linear_ce(ordered_f, ordered_y, cfg)
+    return evaluate_classifier(clf, test_features, y_test)
+
+
+# ---------------------------------------------------------------- oracles
 
 
 def ridge_descent_minimizer(
@@ -235,7 +360,7 @@ def reference_purify(
     F_t, n, c = features.values, features.n, noisy.n_classes
     alpha, ecfg = cfg.ipc.alpha, cfg.eac
     Y = one_hot(noisy) * cfg.init_scale
-    clf = LinearClassifier.zeros(features.dim, c)
+    clf = LinearClassifier(np.zeros((features.dim, c)), np.zeros(c))
     opt = AdamState.init(features.dim, c, ecfg.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     p = 0
@@ -267,7 +392,7 @@ def reference_purify(
 def reference_train_linear_ce(features: FeatureMatrix, labels: HardLabels, cfg: TrainConfig) -> LinearClassifier:
     """Retraining on one-hot targets with the functional Adam step."""
     F, targets = features.values, one_hot(labels)
-    clf = LinearClassifier.zeros(features.dim, labels.n_classes)
+    clf = LinearClassifier(np.zeros((features.dim, labels.n_classes)), np.zeros(labels.n_classes))
     opt = AdamState.init(features.dim, labels.n_classes, cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):

@@ -13,13 +13,21 @@ import numpy as np
 
 from labelpure.cli import dispatch
 from labelpure.data import CleanValidationSet, HardLabels, one_hot, softmax
-from labelpure.eac import EacConfig, LinearClassifier, eac_gradients, eac_label_update
-from labelpure.evaluate import TrainConfig, evaluate_classifier, linear_probe, train_linear_ce
-from labelpure.ipc import IpcConfig, loss_and_label_gradient, ridge_fit
+from labelpure.eac import EacConfig, LinearClassifier, eac_label_update
+from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
+from labelpure.ipc import IpcConfig, loss_and_label_gradient
 from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_asymmetric, inject_symmetric, label_accuracy
 from labelpure.purifier import PurifierConfig, purify
 
-from oracles import fd_classifier_gradients, fd_label_gradient, relative_errors, ridge_descent_minimizer
+from oracles import (
+    eac_gradients,
+    fd_classifier_gradients,
+    fd_label_gradient,
+    linear_probe,
+    relative_errors,
+    ridge_descent_minimizer,
+    ridge_fit,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 _CACHE: dict = {}

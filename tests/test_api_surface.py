@@ -1,0 +1,60 @@
+"""The library's public surface is what the pipeline uses: every public
+top-level name of a ``labelpure`` module must be referenced somewhere in the
+package or the benchmark harness, outside its own definition. Reference code
+that only tests call belongs in ``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "labelpure"
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.AST]:
+    """Public top-level functions, classes and assigned names, with their nodes."""
+    out: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out.update((name, node) for name in names if not name.startswith("_"))
+    return out
+
+
+def _referenced(tree: ast.Module, skip: set[int]) -> set[str]:
+    """Names used as variables or attributes, and the parts of dotted-name
+    strings (how the harness looks functions up), outside the nodes in ``skip``."""
+    seen: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                seen.update(parts)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = {path: _referenced(tree, set()) for path, tree in trees.items()}
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        elsewhere = set().union(*(names for path, names in used.items() if path != module))
+        for name, node in _defined(trees[module]).items():
+            if name not in elsewhere and name not in _referenced(trees[module], {id(node)}):
+                unused.append(f"{module.stem}.{name}")
+    assert unused == []

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from labelpure import eac
-from labelpure.cli import (
-    _COMMANDS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch, load_manifest
-)
+from labelpure.cli import _COMMANDS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
 from labelpure.data import load_features, load_hard_labels
 from labelpure.evaluate import load_classifier
 from labelpure.purifier import save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
+
+
+def _manifest(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _synth(tmp_path, n=800, dim=16, classes=4, sep=8.0, seed=3, n_val=80, n_test=400):
@@ -61,6 +63,17 @@ def test_bad_ratio_exits_one(tmp_path, capsys):
     (tmp_path / "y.txt").write_text("0\n1\n")
     code = dispatch(["corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "1.5", "--out", str(tmp_path / "o.txt")])
     assert code == 1
+
+
+def test_negative_retrain_lr_exits_one(tmp_path, capsys):
+    _synth(tmp_path, n=60, n_val=0, n_test=0)
+    code = dispatch([
+        "retrain", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "y.txt"),
+        "--lr=-0.001", "--out-model", str(tmp_path / "m.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "labelpure: error: lr must be nonnegative, got -0.001\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_console_script_help():
@@ -198,14 +211,22 @@ def test_manifest_replay_is_bitwise(tmp_path):
     logits_first = (tmp_path / "logits.bin").read_bytes()
 
     manifest_path = tmp_path / "pure.txt.manifest.json"
-    manifest = load_manifest(manifest_path)
-    assert manifest.command == "purify"
-    assert manifest.config["purifier"]["epochs"] == 10
-    assert set(manifest.inputs) == {"features", "labels", "val_features", "val_labels"}
+    manifest = _manifest(manifest_path)
+    assert manifest["command"] == "purify"
+    assert manifest["config"]["purifier"]["epochs"] == 10
+    assert set(manifest["inputs"]) == {"features", "labels", "val_features", "val_labels"}
 
     assert dispatch(["purify", "--config", str(manifest_path)]) == 0
     assert (tmp_path / "pure.txt").read_bytes() == labels_first
     assert (tmp_path / "logits.bin").read_bytes() == logits_first
+
+
+def test_manifest_top_level_keys_in_order(tmp_path):
+    (tmp_path / "y.txt").write_text("0\n1\n")
+    out = tmp_path / "n.txt"
+    assert dispatch(["corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.5", "--out", str(out)]) == 0
+    manifest = _manifest(f"{out}.manifest.json")
+    assert list(manifest) == ["command", "artifact_version", "created_utc", "config", "inputs", "outputs", "seeds"]
 
 
 def test_truth_flag_does_not_change_outputs(tmp_path):
@@ -271,10 +292,10 @@ def test_flags_override_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert dispatch(["purify", "--config", str(cfg_path), "--epochs", "3"]) == 0
-    manifest = load_manifest(tmp_path / "pure.txt.manifest.json")
-    assert manifest.config["purifier"]["epochs"] == 3          # flag wins
-    assert manifest.config["purifier"]["batch_size"] == 64     # file wins over default
-    assert manifest.config["purifier"]["ipc"]["alpha"] == 2.0
+    manifest = _manifest(tmp_path / "pure.txt.manifest.json")
+    assert manifest["config"]["purifier"]["epochs"] == 3          # flag wins
+    assert manifest["config"]["purifier"]["batch_size"] == 64     # file wins over default
+    assert manifest["config"]["purifier"]["ipc"]["alpha"] == 2.0
 
 
 # ---------------------------------------------------------------- corrupt variants
@@ -305,8 +326,22 @@ def test_corrupt_default_map_on_ten_classes(tmp_path):
         "corrupt", "--labels", str(tmp_path / "y.txt"), "--kind", "asymmetric",
         "--ratio", "0.4", "--seed", "3", "--out", str(tmp_path / "n.txt"),
     ]) == 0
-    manifest = load_manifest(tmp_path / "n.txt.manifest.json")
-    assert manifest.config["map"] == "2:0,3:5,4:7,5:3,9:1"
+    manifest = _manifest(tmp_path / "n.txt.manifest.json")
+    assert manifest["config"]["map"] == "2:0,3:5,4:7,5:3,9:1"
+
+
+def test_corrupt_refuses_an_unknown_kind(tmp_path, capsys):
+    (tmp_path / "y.txt").write_text("0\n1\n")
+    out = str(tmp_path / "n.txt")
+    flags = ["corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.5", "--out", out]
+    assert dispatch([*flags, "--kind", "gaussian"]) == 2
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"version": 1, "kind": "gaussian"}))
+    capsys.readouterr()
+    assert dispatch([*flags, "--config", str(config)]) == 1
+    message = f'labelpure: error: {config}: kind must be one of symmetric, asymmetric, got "gaussian"\n'
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "n.txt").exists()
 
 
 def test_corrupt_exact_count(tmp_path):
@@ -386,8 +421,8 @@ def test_purify_probability_blend_flag(tmp_path):
         "--blend-space", "probability",
         "--out-labels", str(tmp_path / "pure.txt"),
     ]) == 0
-    manifest = load_manifest(tmp_path / "pure.txt.manifest.json")
-    assert manifest.config["purifier"]["eac"]["blend_space"] == "probability"
+    manifest = _manifest(tmp_path / "pure.txt.manifest.json")
+    assert manifest["config"]["purifier"]["eac"]["blend_space"] == "probability"
 
 
 def test_purify_requires_out_labels(tmp_path, capsys):
@@ -487,7 +522,7 @@ def test_each_flag_sets_exactly_its_key_in_the_manifest(command, tmp_path, monke
         if opt.required:
             base += _other_value(opt, defaults[opt.key])
     assert dispatch(base) == 0
-    before = _flatten(load_manifest(f"{primary}.manifest.json").config)
+    before = _flatten(_manifest(f"{primary}.manifest.json")["config"])
     for opt in cmd.options:
         if opt.key == "manifest":
             words = [opt.flag, str(tmp_path / "elsewhere.json")]
@@ -495,7 +530,7 @@ def test_each_flag_sets_exactly_its_key_in_the_manifest(command, tmp_path, monke
             words = _other_value(opt, before[opt.key])
         assert dispatch(base + words) == 0
         written = words[1] if opt.key == "manifest" else f"{primary}.manifest.json"
-        after = _flatten(load_manifest(written).config)
+        after = _flatten(_manifest(written)["config"])
         changed = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
         assert changed == {opt.key}, opt.flag
 
@@ -538,11 +573,11 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     assert dispatch(["corrupt", "--labels", "y.txt", "--ratio", "0.4", "--seed", "2", "--out", "noisy.txt"]) == 0
     Path("seed.json").write_text(_SEED_FORMAT_MANIFEST)
     assert dispatch(["purify", "--config", "seed.json"]) == 0
-    replayed = load_manifest("pure.txt.manifest.json")
+    replayed = _manifest("pure.txt.manifest.json")
     expected = json.loads(_SEED_FORMAT_MANIFEST)["config"]
     for retired in ("beta1", "beta2", "eps", "seed"):
         del expected["purifier"]["eac"][retired]
-    assert replayed.config == expected
+    assert replayed["config"] == expected
     assert dispatch([
         "purify", "--features", "f.bin", "--labels", "noisy.txt", "--val-features", "vf.bin",
         "--val-labels", "vy.csv", "--epochs", "5", "--batch", "64", "--period", "10",
@@ -570,9 +605,9 @@ def test_legacy_eac_seed_replays_bitwise(tmp_path, monkeypatch):
     ]) == 0
     assert Path("legacy.txt").read_bytes() == Path("flags.txt").read_bytes()
     assert Path("legacy.bin").read_bytes() == Path("flags.bin").read_bytes()
-    manifest = load_manifest("legacy.txt.manifest.json")
-    assert "seed" not in manifest.config["purifier"]["eac"]
-    assert manifest.seeds == {"shuffle_seed": 0}
+    manifest = _manifest("legacy.txt.manifest.json")
+    assert "seed" not in manifest["config"]["purifier"]["eac"]
+    assert manifest["seeds"] == {"shuffle_seed": 0}
 
 
 @pytest.mark.parametrize("tree", ["purifier.eac", "train"])
@@ -617,7 +652,7 @@ def test_threads_pin_blas_before_numpy_loads(tmp_path, source):
     out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[-2:] == ["0", "1"]
-    assert load_manifest(tmp_path / "m.json.manifest.json").config["threads"] == "1"
+    assert _manifest(tmp_path / "m.json.manifest.json")["config"]["threads"] == "1"
 
 
 @pytest.mark.parametrize("misplaced, dotted", [

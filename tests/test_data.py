@@ -19,7 +19,6 @@ from labelpure.data import (
     LabelLogits,
     effective_labels,
     hard_labels,
-    init_logits,
     l2_normalize_rows,
     log_softmax,
     load_features,
@@ -108,23 +107,6 @@ def test_validation_set_requires_one_hot():
 
 
 # ---------------------------------------------------------------- conversions
-
-
-def test_init_logits_one_hot_rows():
-    assert np.array_equal(
-        init_logits(HardLabels(np.array([2]), 3)).values, [[0.0, 0.0, 1.0]]
-    )
-    assert np.array_equal(init_logits(HardLabels(np.array([0]), 2)).values, [[1.0, 0.0]])
-    assert np.array_equal(
-        init_logits(HardLabels(np.array([1, 1]), 2)).values, [[0.0, 1.0], [0.0, 1.0]]
-    )
-
-
-def test_init_logits_scale():
-    scaled = init_logits(HardLabels(np.array([1]), 2), scale=4.0)
-    assert np.array_equal(scaled.values, [[0.0, 4.0]])
-    with pytest.raises(ValueError):
-        init_logits(HardLabels(np.array([1]), 2), scale=0.0)
 
 
 def test_effective_labels_uniform_row():
@@ -371,48 +353,19 @@ def test_binary_nonfinite_names_offset(tmp_path):
         load_features(path)
 
 
-# ---------------------------------------------------------------- csv format
-
-
-def test_csv_parse(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    m = load_features(path, format="csv")
-    assert np.array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    m = FeatureMatrix(rng.normal(size=(4, 3)))
-    path = tmp_path / "f.csv"
-    write_features(m, path, format="csv")
-    assert np.array_equal(load_features(path, format="csv").values, m.values)
-
-
-def test_csv_errors_name_lines(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("1.0,2.0\n1.0,oops\n")
-    with pytest.raises(FormatError, match="line 2"):
-        load_features(path, format="csv")
-    path.write_text("1.0,2.0\n1.0\n")
-    with pytest.raises(FormatError, match="line 2"):
-        load_features(path, format="csv")
-    path.write_text("1.0,inf\n")
-    with pytest.raises(FormatError, match="line 1"):
-        load_features(path, format="csv")
+# ---------------------------------------------------------------- label files
 
 
 @pytest.mark.parametrize(
     "loader, text, message",
     [
-        (lambda p: load_features(p, format="csv"), "1.0,2.0\n\n1.0\n", "line 3: expected 2 columns, got 1"),
-        (lambda p: load_features(p, format="csv"), "1.0,nan\n", "line 1: non-finite value"),
-        (lambda p: load_features(p, format="csv"), "\n\n", "no data rows"),
-        (lambda p: load_features(p, format="csv"), "1,x\n", "line 1: could not convert"),
         (load_onehot_csv, "1,0\n0,1,0\n", "line 2: expected 2 columns, got 3"),
         (load_onehot_csv, "1,0\n1,1\n", "line 2: not a one-hot row"),
         (load_onehot_csv, "", "no label rows"),
         (load_onehot_csv, "0,x\n", "line 1: could not convert"),
+        (load_hard_labels, "0\n\n1.5\n", "line 3: not a class index: '1.5'"),
+        (load_hard_labels, "0\n-1\n", "line 2: negative class index -1"),
+        (load_hard_labels, "\n", "no labels"),
     ],
 )
 def test_csv_loaders_error_messages(tmp_path, loader, text, message):
@@ -420,14 +373,6 @@ def test_csv_loaders_error_messages(tmp_path, loader, text, message):
     path.write_text(text)
     with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
         loader(path)
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        load_features(tmp_path / "x", format="parquet")
-
-
-# ---------------------------------------------------------------- label files
 
 
 def test_hard_labels_text_round_trip(tmp_path):

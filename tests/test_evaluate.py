@@ -6,7 +6,6 @@ from labelpure.eac import LinearClassifier, classifier_forward
 from labelpure.evaluate import (
     TrainConfig,
     evaluate_classifier,
-    linear_probe,
     load_classifier,
     save_classifier,
     train_linear_ce,
@@ -14,7 +13,7 @@ from labelpure.evaluate import (
 )
 from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_symmetric
 
-from oracles import reference_train_linear_ce
+from oracles import linear_probe, reference_train_linear_ce
 
 
 # ---------------------------------------------------------------- training
@@ -101,6 +100,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(weight_decay=-1.0)
+    with pytest.raises(ValueError, match="^lr must be nonnegative, got -0.001$"):  # as EacConfig
+        TrainConfig(lr=-1e-3)
     with pytest.raises(ValueError):
         train_linear_ce(
             FeatureMatrix(np.ones((3, 2))), HardLabels(np.array([0, 1]), 2), TrainConfig()
@@ -121,7 +122,7 @@ def test_evaluate_perfect_classifier():
 def test_evaluate_zero_classifier_ties_to_class_zero():
     labels = HardLabels(np.array([0, 1, 2, 3] * 5), 4)
     features = FeatureMatrix(np.random.default_rng(6).normal(size=(20, 3)))
-    clf = LinearClassifier.zeros(3, 4)
+    clf = LinearClassifier(np.zeros((3, 4)), np.zeros(4))
     acc = evaluate_classifier(clf, features, labels)
     assert acc == float(np.mean(labels.values == 0))
 
@@ -156,7 +157,7 @@ def test_evaluate_equals_label_accuracy_of_predictions():
 def test_evaluate_size_mismatch():
     with pytest.raises(ValueError):
         evaluate_classifier(
-            LinearClassifier.zeros(2, 2),
+            LinearClassifier(np.zeros((2, 2)), np.zeros(2)),
             FeatureMatrix(np.ones((3, 2))),
             HardLabels(np.array([0, 1]), 2),
         )

@@ -6,20 +6,17 @@ from scipy.linalg import cho_factor, cho_solve
 
 from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, log_softmax, one_hot, softmax
 from labelpure.errors import NumericError
-from labelpure.ipc import (
-    IpcConfig,
-    ipc_step,
-    loss_and_label_gradient,
-    ridge_fit,
-    ridge_predict,
-    validation_loss,
-)
+from labelpure.ipc import IpcConfig, ipc_step, loss_and_label_gradient
 
 from oracles import (
+    RidgeSolution,
     fd_label_gradient,
     primal_loss_and_label_gradient,
     relative_errors,
     ridge_descent_minimizer,
+    ridge_fit,
+    ridge_predict,
+    validation_loss,
 )
 
 mpmath.mp.dps = 50
@@ -111,8 +108,6 @@ def test_normalized_gram_gradient_matches_the_scaled_system():
 
 
 def test_predict_zero_weights():
-    from labelpure.ipc import RidgeSolution
-
     sol = RidgeSolution(weights=np.zeros((4, 2)), lam=1.0, alpha=1.0)
     assert np.array_equal(ridge_predict(sol, np.ones((5, 4))), np.zeros((5, 2)))
 

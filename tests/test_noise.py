@@ -7,7 +7,6 @@ from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
 from labelpure.noise import (
     CIFAR10_CLASS_MAP,
     MixtureSpec,
-    gen_gaussian_mixture,
     gen_gaussian_mixture_split,
     inject_asymmetric,
     inject_symmetric,
@@ -22,13 +21,13 @@ from oracles import reference_gaussian_mixture_split
 
 
 def test_mixture_balance_exact():
-    feats, labels = gen_gaussian_mixture(MixtureSpec(4, 3, 2, 1.0, seed=0))
+    (feats, labels), _, _ = gen_gaussian_mixture_split(MixtureSpec(4, 3, 2, 1.0, seed=0))
     assert feats.n == 4
     assert np.bincount(labels.values, minlength=2).tolist() == [2, 2]
 
 
 def test_mixture_balance_within_one():
-    _, labels = gen_gaussian_mixture(MixtureSpec(11, 2, 3, 1.0, seed=1))
+    (_, labels), _, _ = gen_gaussian_mixture_split(MixtureSpec(11, 2, 3, 1.0, seed=1))
     counts = np.bincount(labels.values, minlength=3)
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 11
@@ -36,15 +35,15 @@ def test_mixture_balance_within_one():
 
 def test_mixture_deterministic():
     spec = MixtureSpec(50, 4, 3, 2.0, seed=42)
-    a_feats, a_labels = gen_gaussian_mixture(spec)
-    b_feats, b_labels = gen_gaussian_mixture(spec)
+    (a_feats, a_labels), _, _ = gen_gaussian_mixture_split(spec)
+    (b_feats, b_labels), _, _ = gen_gaussian_mixture_split(spec)
     assert np.array_equal(a_feats.values, b_feats.values)
     assert np.array_equal(a_labels.values, b_labels.values)
 
 
 def test_mixture_mean_separation():
     spec = MixtureSpec(500, 8, 5, 6.0, seed=3)
-    feats, labels = gen_gaussian_mixture(spec)
+    (feats, labels), _, _ = gen_gaussian_mixture_split(spec)
     means = np.stack([feats.values[labels.values == k].mean(axis=0) for k in range(5)])
     dists = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
     off_diag = dists[np.triu_indices(5, 1)]
