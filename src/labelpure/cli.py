@@ -5,9 +5,8 @@ the one config key it sets (dotted when nested). The defaults, the argparse
 arguments and the flag resolution all derive from it. The ``purifier`` and
 ``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``, and
 every key of every command has exactly one flag. Keys that older releases
-wrote (``purifier.eac.beta1/beta2/eps/seed``, ``train.beta1/beta2/eps``) are
-dropped from ``--config`` files when replaying them cannot change a run; any
-other key a command's defaults lack is an error.
+wrote (``_RETIRED_KEYS``) are dropped from ``--config`` files when replaying
+them cannot change a run; any other key a command's defaults lack is an error.
 
 Every run resolves its full configuration (defaults < config file < flags)
 and ``dispatch`` writes a manifest recording the resolved config, input
@@ -24,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,9 +34,17 @@ _THREAD_ENV_VARS = (
 
 _REPLAY_HELP = "JSON config file or manifest to replay"
 
-# Adam's constants in ``labelpure.eac``, which older config files and
-# manifests carry as keys; they replay only at these values.
-_RETIRED_ADAM_KEYS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+# Keys that older config files and manifests carry, each with the value every
+# run used: Adam's constants in ``labelpure.eac`` and switches the purify loop
+# no longer has. A key replays only at its value; None means any value, as the
+# key never reached the loop.
+_RETIRED_KEYS = {
+    "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": None,
+    "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
+    "purifier.normalize_features": False, "purifier.add_bias_feature": False, "purifier.init_scale": 1.0,
+    "purifier.eac_steps_per_iter": 1, "purifier.ipc.normalize_gram": False, "purifier.eac.hard_targets": False,
+    "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit",
+}
 
 
 class _Opt(NamedTuple):
@@ -140,17 +147,21 @@ def _load_config_file(path: str | Path) -> dict:
     version = data.get("version", 1)
     if version != 1:
         raise ValueError(f"{path}: unsupported config version {version}")
-    purifier = data.get("purifier")
-    eac = purifier.get("eac") if isinstance(purifier, dict) else None
-    if isinstance(eac, dict):
-        eac.pop("seed", None)  # never reached the loop, so any value replays
-    for prefix, tree in (("purifier.eac", eac), ("train", data.get("train"))):
-        if not isinstance(tree, dict):
-            continue  # _deep_update names the key
-        for key, ran_with in _RETIRED_ADAM_KEYS.items():
-            value = tree.pop(key, ran_with)
-            if value != ran_with:
-                raise ValueError(f"{path}: {prefix}.{key} = {value} is no longer configurable (Adam uses {ran_with})")
+    for dotted, ran_with in _RETIRED_KEYS.items():
+        *parents, leaf = dotted.split(".")
+        node = data
+        for key in parents:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node:
+            continue  # absent, or _deep_update names the misplaced tree
+        value = node.pop(leaf)
+        # The type must match too: a bool key refuses 0 and an int key 1.0, while
+        # a float key takes an int, as JSON may write 1.0 as 1.
+        kinds = (float, int) if type(ran_with) is float else (type(ran_with),)
+        if ran_with is not None and not (type(value) in kinds and value == ran_with):
+            raise ValueError(
+                f"{path}: {dotted} = {json.dumps(value)} is no longer configurable (every run used {json.dumps(ran_with)})"
+            )
     return data
 
 
@@ -313,15 +324,7 @@ _PURIFY_OPTIONS = (
     _Opt("--ipc-gamma-ent", "purifier.ipc.gamma_ent", float),
     _Opt("--eac-gamma-ent", "purifier.eac.gamma_ent", float),
     _Opt("--eac-lr", "purifier.eac.lr", float),
-    _Opt("--eac-steps", "purifier.eac_steps_per_iter", int),
     _Opt("--val-batch", "purifier.ipc.val_batch", int),
-    _Opt("--init-scale", "purifier.init_scale", float),
-    _Opt("--blend-space", "purifier.eac.blend_space", choices=("logit", "probability")),
-    _Opt("--hard-targets", "purifier.eac.hard_targets", bool),
-    _Opt("--bias", "purifier.eac.use_bias", bool, "classifier bias term"),
-    _Opt("--normalize-features", "purifier.normalize_features", bool),
-    _Opt("--normalize-gram", "purifier.ipc.normalize_gram", bool),
-    _Opt("--add-bias", "purifier.add_bias_feature", bool, "append a constant-1 feature column"),
     _Opt("--ipc", "purifier.use_ipc", bool, "enable the ridge corrector"),
     _Opt("--eac", "purifier.use_eac", bool, "enable the classifier corrector"),
     _Opt("--threads", "threads", help="BLAS thread count (set before numpy loads)"),
@@ -343,14 +346,16 @@ def _cmd_purify(cfg: dict) -> tuple:
     from .ipc import IpcConfig
     from .purifier import PurifierConfig, purify, save_report
 
+    # The config first, so a bad value is refused before any input is read.
+    tree = dict(cfg["purifier"])
+    ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
+    pcfg = PurifierConfig(ipc=ipc, eac=eac, **tree)
     val = data.CleanValidationSet(data.load_features(cfg["val_features"]), data.load_onehot_csv(cfg["val_labels"]))
     features = data.load_features(cfg["features"])
     noisy = data.load_hard_labels(cfg["labels"], val.n_classes)
-    truth = data.load_hard_labels(cfg["truth"], val.n_classes) if cfg["truth"] else None
-
-    tree = dict(cfg["purifier"])
-    ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
-    logits, purified, rep = purify(features, noisy, val, PurifierConfig(ipc=ipc, eac=eac, track_truth=truth, **tree))
+    if cfg["truth"]:
+        pcfg = replace(pcfg, track_truth=data.load_hard_labels(cfg["truth"], val.n_classes))
+    logits, purified, rep = purify(features, noisy, val, pcfg)
 
     data.write_hard_labels(purified, cfg["out_labels"])
     outputs = {"labels": cfg["out_labels"]}
@@ -398,8 +403,8 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from . import data
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
+    tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
     features = data.load_features(cfg["features"])
-    tconfig = TrainConfig(**cfg["train"])
     inputs = {"features": cfg["features"]}
     if cfg["soft_logits"]:
         logits = data.load_features(cfg["soft_logits"])

@@ -192,16 +192,6 @@ def hard_labels(logits: LabelLogits) -> HardLabels:
     return HardLabels(np.argmax(logits.values, axis=1), logits.n_classes)
 
 
-def logits_from_probabilities(probs: np.ndarray, alpha: float) -> np.ndarray:
-    """Logits Y with softmax(alpha * Y) equal to the given probability rows."""
-    return np.log(np.maximum(probs, 1e-300)) / alpha
-
-
-def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    return values / np.where(norms > 0, norms, 1.0)
-
-
 def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix to disk.
 

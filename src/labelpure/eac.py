@@ -11,8 +11,6 @@ import numpy as np
 from .data import softmax, softmax_entropy
 from .errors import NumericError
 
-_BLEND_SPACES = ("logit", "probability")
-
 # Adam's moment decay rates and denominator floor.
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -53,18 +51,14 @@ class EacConfig:
 
     ``eta`` is the blend momentum of the periodic label replacement (1.0
     replaces outright), ``period`` the number of iterations between
-    replacements. ``blend_space`` selects whether the blend happens on raw
-    logits or on the softmax probabilities. ``lr`` is the classifier's Adam
-    step size; the classifier starts at zero, so nothing here is random.
+    replacements. ``lr`` is the classifier's Adam step size; the classifier
+    starts at zero, so nothing here is random.
     """
 
     eta: float = 1.0
     period: int = 50
     gamma_ent: float = 1.0
     lr: float = 1e-3
-    blend_space: str = "logit"
-    hard_targets: bool = False
-    use_bias: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
@@ -75,8 +69,6 @@ class EacConfig:
             raise ValueError(f"gamma_ent must be nonnegative, got {self.gamma_ent}")
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
-        if self.blend_space not in _BLEND_SPACES:
-            raise ValueError(f"blend_space must be one of {_BLEND_SPACES}, got {self.blend_space!r}")
 
 
 class TrainState:
@@ -135,7 +127,6 @@ def eac_train_step(
     *,
     gamma_ent: float = 1.0,
     weight_decay: float = 0.0,
-    update_bias: bool = True,
 ) -> None:
     """One Adam update of the classifier in ``state``, in place, on a batch of
     soft targets: the gradient of the mean soft-target cross entropy plus
@@ -162,11 +153,7 @@ def eac_train_step(
     m += (1 - _BETA1) * grad
     v *= _BETA2
     v += (1 - _BETA2) * grad**2
-    delta = state.lr * (m / (1 - _BETA1**state.step)) / (np.sqrt(v / (1 - _BETA2**state.step)) + _EPS)
-    if update_bias:
-        state.params -= delta
-    else:
-        state.weights -= delta[:dim]
+    state.params -= state.lr * (m / (1 - _BETA1**state.step)) / (np.sqrt(v / (1 - _BETA2**state.step)) + _EPS)
 
 
 def eac_label_update(Y_t: np.ndarray, logits_all: np.ndarray, eta: float) -> np.ndarray:

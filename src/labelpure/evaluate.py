@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
+from .errors import FormatError
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,11 @@ def save_classifier(clf: LinearClassifier, path: str | Path) -> None:
 
 def load_classifier(path: str | Path) -> LinearClassifier:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
     if data.get("version") != 1:
         raise ValueError(f"{path}: unsupported classifier version {data.get('version')}")
+    for key in ("weights", "bias"):
+        if key not in data:
+            raise FormatError(f"{path}: missing key '{key}'")
     return LinearClassifier(np.asarray(data["weights"]), np.asarray(data["bias"]))

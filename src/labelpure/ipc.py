@@ -34,8 +34,6 @@ class IpcConfig:
 
     ``val_batch`` optionally subsamples the validation set per step (the
     purification loop draws the subsets); None means the full set.
-    ``normalize_gram`` divides the Gram matrix (and the matching right-hand
-    side) by the batch size before adding lam * I.
     """
 
     alpha: float = 1.0
@@ -43,7 +41,6 @@ class IpcConfig:
     eta: float = 0.01
     gamma_ent: float = 1.0
     val_batch: int | None = None
-    normalize_gram: bool = False
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
@@ -58,10 +55,8 @@ class IpcConfig:
             raise ValueError(f"val_batch must be >= 1, got {self.val_batch}")
 
 
-def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = False) -> np.ndarray:
-    """Lower Cholesky factor of F'F + lam I, or of the dual FF' + lam I, with lam
-    scaled by the batch size b under ``normalize_gram``:
-    (F'F/b + lam I)^{-1} F'/b = (F'F + b lam I)^{-1} F', and likewise for FF'.
+def _cholesky(F_t: np.ndarray, lam: float, dual: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of F'F + lam I, or of the dual FF' + lam I.
 
     At lam = 0 with more feature columns than rows, F'F is singular whatever the
     values, so that raises before any factoring. A non-finite feature makes a
@@ -73,7 +68,7 @@ def _cholesky(F_t: np.ndarray, lam: float, normalize_gram: bool, dual: bool = Fa
     gram = F_t @ F_t.T if dual else F_t.T @ F_t
     if not np.isfinite(gram.diagonal()).all():
         raise ValueError("Gram matrix is not finite: the batch features are non-finite or too large")
-    gram.flat[:: gram.shape[0] + 1] += lam * b if normalize_gram else lam
+    gram.flat[:: gram.shape[0] + 1] += lam
     factor, info = dpotrf(gram, lower=1, clean=0)
     if info > 0:
         raise LinAlgError(
@@ -107,7 +102,7 @@ def loss_and_label_gradient(
     F_v = np.asarray(F_v, dtype=np.float64)
     Y_v = np.asarray(Y_v, dtype=np.float64)
     dual = F_t.shape[1] > F_t.shape[0]
-    factor = _cholesky(F_t, cfg.lam, cfg.normalize_gram, dual)
+    factor = _cholesky(F_t, cfg.lam, dual)
     S = softmax(cfg.alpha * Y_t)
     P = F_v @ (F_t.T @ _solve(factor, S) if dual else _solve(factor, F_t.T @ S))
     n_v = F_v.shape[0]

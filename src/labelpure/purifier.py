@@ -17,8 +17,6 @@ from .data import (
     HardLabels,
     LabelLogits,
     hard_labels,
-    l2_normalize_rows,
-    logits_from_probabilities,
     one_hot,
     softmax,
 )
@@ -37,8 +35,7 @@ class PurifierConfig:
 
     ``track_truth`` carries ground-truth labels used only for reporting; it
     never influences the updates. ``use_ipc`` / ``use_eac`` switch the two
-    correction processes on and off for ablations. ``add_bias_feature``
-    appends a constant-1 column to all features, emulating a ridge bias.
+    correction processes on and off for ablations.
     """
 
     ipc: IpcConfig = field(default_factory=IpcConfig)
@@ -47,22 +44,14 @@ class PurifierConfig:
     epochs: int = 100
     shuffle_seed: int = 0
     track_truth: HardLabels | None = None
-    init_scale: float = 1.0
-    normalize_features: bool = False
-    add_bias_feature: bool = False
     use_ipc: bool = True
     use_eac: bool = True
-    eac_steps_per_iter: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.init_scale < float("inf"):
-            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
-        if self.eac_steps_per_iter < 1:
-            raise ValueError(f"eac_steps_per_iter must be >= 1, got {self.eac_steps_per_iter}")
         if not (self.use_ipc or self.use_eac):
             raise ValueError("at least one of use_ipc / use_eac must be enabled")
 
@@ -98,16 +87,8 @@ def purify(
     F_t = features.values
     F_v = val.features.values
     Y_v = val.labels
-    if cfg.normalize_features:
-        F_t = l2_normalize_rows(F_t)
-        F_v = l2_normalize_rows(F_v)
-    if cfg.add_bias_feature:
-        F_t = np.hstack([F_t, np.ones((F_t.shape[0], 1))])
-        F_v = np.hstack([F_v, np.ones((F_v.shape[0], 1))])
-
-    Y = one_hot(noisy) * cfg.init_scale
-    state = TrainState(F_t.shape[1], c, cfg.eac.lr)
-    eye = np.eye(c)
+    Y = one_hot(noisy)
+    state = TrainState(features.dim, c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
     n_v = F_v.shape[0]
@@ -146,19 +127,9 @@ def purify(
                         pred[idx] = new
                 did_replace = False
                 if cfg.use_eac:
-                    targets = eye[np.argmax(y, axis=1)] if cfg.eac.hard_targets else softmax(alpha * y)
-                    for _ in range(cfg.eac_steps_per_iter):
-                        eac_train_step(
-                            state, f, targets, gamma_ent=cfg.eac.gamma_ent, update_bias=cfg.eac.use_bias
-                        )
+                    eac_train_step(state, f, softmax(alpha * y), gamma_ent=cfg.eac.gamma_ent)
                     if p % cfg.eac.period == 0:
-                        logits_all = classifier_forward(state, F_t)
-                        if cfg.eac.blend_space == "logit":
-                            Y = eac_label_update(Y, logits_all, cfg.eac.eta)
-                        else:
-                            blended = (1.0 - cfg.eac.eta) * softmax(alpha * Y) + cfg.eac.eta * softmax(logits_all)
-                            # Row-major again, as the per-batch row gathers want.
-                            Y = np.ascontiguousarray(logits_from_probabilities(blended, alpha))
+                        Y = eac_label_update(Y, classifier_forward(state, F_t), cfg.eac.eta)
                         did_replace = True
                         if truth is not None:
                             pred = np.argmax(Y, axis=1)

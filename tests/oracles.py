@@ -47,7 +47,6 @@ def ridge_fit(
     Y_t: np.ndarray,
     alpha: float,
     lam: float,
-    normalize_gram: bool = False,
 ) -> RidgeSolution:
     """Solve the ridge regression of softmax(alpha * Y_t) onto the batch features.
 
@@ -59,7 +58,7 @@ def ridge_fit(
     Y_t = np.asarray(Y_t, dtype=np.float64)
     if F_t.shape[0] != Y_t.shape[0]:
         raise ValueError(f"batch size mismatch: {F_t.shape[0]} feature rows vs {Y_t.shape[0]} logit rows")
-    factor = _cholesky(F_t, lam, normalize_gram)
+    factor = _cholesky(F_t, lam)
     weights = _solve(factor, F_t.T @ softmax(alpha * Y_t))
     return RidgeSolution(weights=weights, lam=lam, alpha=alpha)
 
@@ -189,12 +188,11 @@ def fd_label_gradient(
     lam: float,
     gamma_ent: float,
     step: float = 1e-5,
-    normalize_gram: bool = False,
 ) -> np.ndarray:
     """Central finite differences of the fit -> predict -> loss composition."""
 
     def loss_at(Y: np.ndarray) -> float:
-        sol = ridge_fit(F_t, Y, alpha, lam, normalize_gram)
+        sol = ridge_fit(F_t, Y, alpha, lam)
         return validation_loss(ridge_predict(sol, F_v), Y_v, gamma_ent)
 
     out = np.zeros_like(Y_t, dtype=np.float64)
@@ -232,11 +230,10 @@ def primal_loss_and_label_gradient(
     F_t: np.ndarray, Y_t: np.ndarray, F_v: np.ndarray, Y_v: np.ndarray, cfg: IpcConfig
 ) -> tuple[float, np.ndarray]:
     """Validation loss and label gradient through the explicit n_v x b operator
-    M = F_v (F'F + lam I)^{-1} F', with lam scaled by b under normalize_gram:
-    the sequential primal reference for ``ipc.loss_and_label_gradient``."""
-    b, d = F_t.shape
-    lam = cfg.lam * b if cfg.normalize_gram else cfg.lam
-    M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + lam * np.eye(d), lower=True), F_t.T)
+    M = F_v (F'F + lam I)^{-1} F': the sequential primal reference for
+    ``ipc.loss_and_label_gradient``."""
+    d = F_t.shape[1]
+    M = F_v @ cho_solve(cho_factor(F_t.T @ F_t + cfg.lam * np.eye(d), lower=True), F_t.T)
     S = rowmajor_softmax(cfg.alpha * Y_t)
     P = M @ S
     n_v = F_v.shape[0]
@@ -330,7 +327,6 @@ def functional_train_step(
     opt: AdamState,
     gamma_ent: float,
     weight_decay: float = 0.0,
-    update_bias: bool = True,
 ) -> tuple[LinearClassifier, AdamState]:
     """One Adam step of the classifier on soft targets, returning a new
     classifier and a new optimizer state: the reference for ``eac_train_step``."""
@@ -345,7 +341,7 @@ def functional_train_step(
     v_b = _BETA2 * opt.v_b + (1 - _BETA2) * grad_b**2
     c1, c2 = 1 - _BETA1**step, 1 - _BETA2**step
     new_w = clf.weights - opt.lr * (m_w / c1) / (np.sqrt(v_w / c2) + _EPS)
-    new_b = clf.bias - opt.lr * (m_b / c1) / (np.sqrt(v_b / c2) + _EPS) if update_bias else clf.bias
+    new_b = clf.bias - opt.lr * (m_b / c1) / (np.sqrt(v_b / c2) + _EPS)
     return LinearClassifier(new_w, new_b), AdamState(opt.lr, step, m_w, v_w, m_b, v_b)
 
 
@@ -354,12 +350,11 @@ def reference_purify(
 ) -> np.ndarray:
     """Final label logits of the purify loop, computed sequentially: explicit
     primal hypergradient, row-major softmax, functional Adam step. Covers the
-    full validation set on untransformed features with both processes on."""
-    assert cfg.ipc.val_batch is None and not (cfg.normalize_features or cfg.add_bias_feature)
-    assert cfg.use_ipc and cfg.use_eac
+    full validation set with both processes on."""
+    assert cfg.ipc.val_batch is None and cfg.use_ipc and cfg.use_eac
     F_t, n, c = features.values, features.n, noisy.n_classes
     alpha, ecfg = cfg.ipc.alpha, cfg.eac
-    Y = one_hot(noisy) * cfg.init_scale
+    Y = one_hot(noisy)
     clf = LinearClassifier(np.zeros((features.dim, c)), np.zeros(c))
     opt = AdamState.init(features.dim, c, ecfg.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
@@ -371,21 +366,9 @@ def reference_purify(
             p += 1
             _, grad = primal_loss_and_label_gradient(F_t[idx], Y[idx], val.features.values, val.labels, cfg.ipc)
             Y[idx] = Y[idx] - cfg.ipc.eta * grad
-            if ecfg.hard_targets:
-                targets = np.eye(c)[np.argmax(Y[idx], axis=1)]
-            else:
-                targets = rowmajor_softmax(alpha * Y[idx])
-            for _ in range(cfg.eac_steps_per_iter):
-                clf, opt = functional_train_step(
-                    clf, F_t[idx], targets, opt, ecfg.gamma_ent, update_bias=ecfg.use_bias
-                )
+            clf, opt = functional_train_step(clf, F_t[idx], rowmajor_softmax(alpha * Y[idx]), opt, ecfg.gamma_ent)
             if p % ecfg.period == 0:
-                logits_all = F_t @ clf.weights + clf.bias
-                if ecfg.blend_space == "logit":
-                    Y = (1.0 - ecfg.eta) * Y + ecfg.eta * logits_all
-                else:
-                    blended = (1.0 - ecfg.eta) * rowmajor_softmax(alpha * Y) + ecfg.eta * rowmajor_softmax(logits_all)
-                    Y = np.log(np.maximum(blended, 1e-300)) / alpha
+                Y = (1.0 - ecfg.eta) * Y + ecfg.eta * (F_t @ clf.weights + clf.bias)
     return Y
 
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from labelpure import eac
-from labelpure.cli import _COMMANDS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
+from labelpure.cli import (
+    _COMMANDS, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
+)
 from labelpure.data import load_features, load_hard_labels
 from labelpure.evaluate import load_classifier
 from labelpure.purifier import save_report
@@ -74,6 +76,24 @@ def test_negative_retrain_lr_exits_one(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "labelpure: error: lr must be nonnegative, got -0.001\n"
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("retrain", "--lr=-1", "lr must be nonnegative, got -1.0"),
+    ("purify", "--lambda=-1", "lam must be nonnegative, got -1.0"),
+])
+def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
+    words = {
+        "retrain": ["--features", "f.bin", "--labels", "y.txt", "--out-model", "m.json"],
+        "purify": [
+            "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
+            "--out-labels", "pure.txt",
+        ],
+    }[command]
+    # No input file exists, so a handler that read one first would report it instead.
+    args = [word if word.startswith("--") else str(tmp_path / word) for word in words]
+    assert dispatch([command, *args, flag]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {message}\n"
 
 
 def test_console_script_help():
@@ -405,26 +425,6 @@ def test_eval_scores_rows_of_a_class_the_head_lacks_as_misses(tmp_path, capsys):
     assert printed["accuracy"] <= float(np.mean(truth.values < 2))
 
 
-def test_purify_probability_blend_flag(tmp_path):
-    _synth(tmp_path, n=200, n_val=40, n_test=0)
-    assert dispatch([
-        "corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.3",
-        "--seed", "1", "--out", str(tmp_path / "noisy.txt"),
-    ]) == 0
-    assert dispatch([
-        "purify",
-        "--features", str(tmp_path / "f.bin"),
-        "--labels", str(tmp_path / "noisy.txt"),
-        "--val-features", str(tmp_path / "vf.bin"),
-        "--val-labels", str(tmp_path / "vy.csv"),
-        "--epochs", "4", "--batch", "64", "--period", "4",
-        "--blend-space", "probability",
-        "--out-labels", str(tmp_path / "pure.txt"),
-    ]) == 0
-    manifest = _manifest(tmp_path / "pure.txt.manifest.json")
-    assert manifest["config"]["purifier"]["eac"]["blend_space"] == "probability"
-
-
 def test_purify_requires_out_labels(tmp_path, capsys):
     code = dispatch(["purify", "--features", "x", "--labels", "y", "--val-features", "z", "--val-labels", "w"])
     assert code == 1
@@ -441,9 +441,7 @@ _OPTION_STRINGS = {
         --out --manifest""",
     "purify": """--config --features --labels --val-features --val-labels --truth --out-labels --out-logits
         --report --alpha --lambda --eta-i --eta-e --period --batch --epochs --seed --ipc-gamma-ent
-        --eac-gamma-ent --eac-lr --eac-steps --val-batch --init-scale --blend-space --hard-targets
-        --no-hard-targets --bias --no-bias --normalize-features --no-normalize-features --normalize-gram
-        --no-normalize-gram --add-bias --no-add-bias --ipc --no-ipc --eac --no-eac --threads --manifest""",
+        --eac-gamma-ent --eac-lr --val-batch --ipc --no-ipc --eac --no-eac --threads --manifest""",
     "retrain": """--config --features --labels --soft-logits --alpha --epochs --batch --lr --seed
         --weight-decay --out-model --threads --manifest""",
     "eval": "--config --model --features --labels --out-json --threads --manifest",
@@ -575,8 +573,14 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     assert dispatch(["purify", "--config", "seed.json"]) == 0
     replayed = _manifest("pure.txt.manifest.json")
     expected = json.loads(_SEED_FORMAT_MANIFEST)["config"]
-    for retired in ("beta1", "beta2", "eps", "seed"):
-        del expected["purifier"]["eac"][retired]
+    purifier = expected["purifier"]
+    for tree, retired in [
+        (purifier["eac"], ("beta1", "beta2", "eps", "seed", "blend_space", "hard_targets", "use_bias")),
+        (purifier["ipc"], ("normalize_gram",)),
+        (purifier, ("init_scale", "normalize_features", "add_bias_feature", "eac_steps_per_iter")),
+    ]:
+        for key in retired:
+            del tree[key]
     assert replayed["config"] == expected
     assert dispatch([
         "purify", "--features", "f.bin", "--labels", "noisy.txt", "--val-features", "vf.bin",
@@ -610,9 +614,32 @@ def test_legacy_eac_seed_replays_bitwise(tmp_path, monkeypatch):
     assert manifest["seeds"] == {"shuffle_seed": 0}
 
 
-@pytest.mark.parametrize("tree", ["purifier.eac", "train"])
-@pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+# Each retired config key: the values that replay, which are the one every run
+# used (Adam's from the library's constants, the switches' at their old
+# defaults), and values refused. The seed never reached the loop: any value.
+_RETIRED = {
+    "purifier.eac.beta1": ([eac._BETA1], [eac._BETA1 * 1.5]),
+    "purifier.eac.beta2": ([eac._BETA2], [eac._BETA2 * 1.5]),
+    "purifier.eac.eps": ([eac._EPS], [eac._EPS * 1.5]),
+    "purifier.eac.seed": ([0, 7, "x", None], []),
+    "train.beta1": ([eac._BETA1], [eac._BETA1 * 1.5]),
+    "train.beta2": ([eac._BETA2], [eac._BETA2 * 1.5]),
+    "train.eps": ([eac._EPS], [eac._EPS * 1.5]),
+    "purifier.normalize_features": ([False], [True, 0]),
+    "purifier.add_bias_feature": ([False], [True, 0]),
+    "purifier.init_scale": ([1.0, 1], [10.0, True, "1.0"]),
+    "purifier.eac_steps_per_iter": ([1], [2, 1.0, True]),
+    "purifier.ipc.normalize_gram": ([False], [True, 0]),
+    "purifier.eac.hard_targets": ([False], [True, 0]),
+    "purifier.eac.use_bias": ([True], [False, 1]),
+    "purifier.eac.blend_space": (["logit"], ["probability"]),
+}
+
+
+@pytest.mark.parametrize("key, tree", [tuple(reversed(dotted.rsplit(".", 1))) for dotted in _RETIRED_KEYS])
 def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, capsys):
+    assert _RETIRED.keys() == _RETIRED_KEYS.keys()
+
     def config(value):
         node = {key: value}
         for part in reversed(tree.split(".")):
@@ -621,11 +648,13 @@ def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, caps
         path.write_text(json.dumps({"version": 1, **node}))
         return path
 
-    ran_with = {"beta1": eac._BETA1, "beta2": eac._BETA2, "eps": eac._EPS}[key]
-    assert _lookup(_load_config_file(config(ran_with)), tree) == {}
-    command = "purify" if tree == "purifier.eac" else "retrain"
-    assert dispatch([command, "--config", str(config(ran_with * 1.5))]) == 1
-    assert f"{tree}.{key}" in capsys.readouterr().err
+    replays, refused = _RETIRED[f"{tree}.{key}"]
+    for value in replays:
+        assert _lookup(_load_config_file(config(value)), tree) == {}
+    command = "retrain" if tree == "train" else "purify"
+    for value in refused:
+        assert dispatch([command, "--config", str(config(value))]) == 1
+        assert f"{tree}.{key} = {json.dumps(value)} is no longer configurable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
@@ -680,11 +709,8 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     ({"purifier": None}, "purifier must be an object, got null"),
     ({"purifier": {"epochs": None}}, "purifier.epochs must be int, got null"),
     ({"purifier": {"epochs": True}}, "purifier.epochs must be int, got true"),
-    ({"purifier": {"ipc": {"normalize_gram": 1}}}, "purifier.ipc.normalize_gram must be bool, got 1"),
-    (
-        {"purifier": {"eac": {"blend_space": "logits"}}},
-        'purifier.eac.blend_space must be one of logit, probability, got "logits"',
-    ),
+    ({"purifier": {"use_ipc": 1}}, "purifier.use_ipc must be bool, got 1"),
+    ({"purifier": {"ipc": {"val_batch": 2.5}}}, "purifier.ipc.val_batch must be int, got 2.5"),
     ({"features": 5}, "features must be str, got 5"),
 ])
 def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path, capsys):

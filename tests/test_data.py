@@ -19,12 +19,10 @@ from labelpure.data import (
     LabelLogits,
     effective_labels,
     hard_labels,
-    l2_normalize_rows,
     log_softmax,
     load_features,
     load_hard_labels,
     load_onehot_csv,
-    logits_from_probabilities,
     one_hot,
     softmax,
     softmax_entropy,
@@ -146,20 +144,6 @@ def test_hard_labels_matches_effective_argmax():
     for alpha in (0.25, 1.0, 8.0):
         soft = effective_labels(logits, alpha)
         assert np.array_equal(base, np.argmax(soft, axis=1))
-
-
-def test_logits_from_probabilities_inverts_softmax():
-    rng = np.random.default_rng(6)
-    probs = softmax(rng.normal(size=(10, 4)))
-    for alpha in (0.5, 1.0, 3.0):
-        back = softmax(alpha * logits_from_probabilities(probs, alpha))
-        assert np.abs(back - probs).max() < 1e-12
-
-
-def test_l2_normalize_rows_handles_zero_rows():
-    out = l2_normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
-    assert np.allclose(out[0], [0.6, 0.8])
-    assert np.array_equal(out[1], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------- properties

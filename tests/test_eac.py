@@ -192,16 +192,6 @@ def test_training_is_deterministic():
     assert np.array_equal(a.bias, b.bias)
 
 
-def test_train_step_can_freeze_bias():
-    rng = np.random.default_rng(7)
-    state = TrainState(3, 2)
-    F = rng.normal(size=(5, 3))
-    targets = softmax(rng.normal(size=(5, 2)))
-    eac_train_step(state, F, targets, update_bias=False)
-    assert np.array_equal(state.bias, np.zeros(2))
-    assert not np.array_equal(state.weights, np.zeros((3, 2)))
-
-
 def test_train_step_rejects_nonfinite():
     state = _state(2, 2, weights=np.ones((2, 2)))
     before = [state.params.copy(), state.m.copy(), state.v.copy()]
@@ -229,8 +219,8 @@ def test_classifier_is_a_read_only_copy_of_the_state():
 
 
 @pytest.mark.parametrize("c", [3, 10])
-@pytest.mark.parametrize("gamma, weight_decay, update_bias", [(1.0, 0.0, True), (0.0, 0.1, True), (0.5, 0.0, False)])
-def test_train_steps_match_the_functional_reference(c, gamma, weight_decay, update_bias):
+@pytest.mark.parametrize("gamma, weight_decay", [(1.0, 0.0), (0.0, 0.1), (0.5, 0.0)])
+def test_train_steps_match_the_functional_reference(c, gamma, weight_decay):
     # Targets from softmax are column-major, one-hot gathers row-major; the
     # step must agree with the reference on both.
     rng = np.random.default_rng(11)
@@ -241,7 +231,7 @@ def test_train_steps_match_the_functional_reference(c, gamma, weight_decay, upda
     clf, opt = LinearClassifier(np.zeros((6, c)), np.zeros(c)), AdamState.init(6, c, 0.05)
     for step in range(30):
         targets = soft if step % 2 else hard
-        kw = dict(gamma_ent=gamma, weight_decay=weight_decay, update_bias=update_bias)
+        kw = dict(gamma_ent=gamma, weight_decay=weight_decay)
         eac_train_step(state, F, targets, **kw)
         clf, opt = functional_train_step(clf, F, targets, opt, **kw)
     assert state.step == opt.step == 30
@@ -289,5 +279,3 @@ def test_eac_config_validation():
         EacConfig(period=0)
     with pytest.raises(ValueError):
         EacConfig(gamma_ent=-1.0)
-    with pytest.raises(ValueError):
-        EacConfig(blend_space="sideways")

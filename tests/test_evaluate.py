@@ -3,6 +3,7 @@ import pytest
 
 from labelpure.data import FeatureMatrix, HardLabels, one_hot
 from labelpure.eac import LinearClassifier, classifier_forward
+from labelpure.errors import FormatError
 from labelpure.evaluate import (
     TrainConfig,
     evaluate_classifier,
@@ -215,3 +216,16 @@ def test_classifier_version_check(tmp_path):
     path.write_text('{"version": 2, "weights": [[0.0]], "bias": [0.0]}')
     with pytest.raises(ValueError):
         load_classifier(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1}', "missing key 'weights'"),
+    ('{"version": 1, "weights": [[0.0]]}', "missing key 'bias'"),
+    ("[1, 2]", "a classifier must be a JSON object, got list"),
+])
+def test_malformed_classifier_file_names_path_and_key(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        load_classifier(path)
+    assert str(exc.value) == f"{path}: {message}"

@@ -78,32 +78,6 @@ def test_ridge_batch_mismatch_raises():
         ridge_fit(np.ones((3, 2)), np.ones((4, 2)), alpha=1.0, lam=1.0)
 
 
-def test_ridge_normalized_gram_mode():
-    rng = np.random.default_rng(4)
-    F = rng.normal(size=(10, 4))
-    Y = rng.normal(size=(10, 3))
-    lam = 0.5
-    sol = ridge_fit(F, Y, alpha=1.0, lam=lam, normalize_gram=True)
-    b = F.shape[0]
-    expected = np.linalg.solve(F.T @ F / b + lam * np.eye(4), F.T @ softmax(Y) / b)
-    assert np.abs(sol.weights - expected).max() < 1e-10
-
-
-def test_normalized_gram_gradient_matches_the_scaled_system():
-    rng = np.random.default_rng(5)
-    F_t, Y_t = rng.normal(size=(12, 4)), rng.normal(size=(12, 3))
-    F_v, Y_v = rng.normal(size=(6, 4)), one_hot(HardLabels(rng.integers(0, 3, 6), 3))
-    cfg = IpcConfig(lam=0.01, normalize_gram=True)
-    b = F_t.shape[0]
-    loss, _ = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
-    K = np.linalg.solve(F_t.T @ F_t / b + cfg.lam * np.eye(4), F_t.T / b)
-    S = softmax(Y_t)
-    P = F_v @ K @ S
-    q = softmax(P)
-    expected_loss = (((P - Y_v) ** 2).sum() - (q * np.log(q)).sum()) / F_v.shape[0]
-    assert abs(loss - expected_loss) < 1e-12
-
-
 # ---------------------------------------------------------------- ridge_predict
 
 
@@ -239,17 +213,13 @@ def test_label_gradient_fd_across_random_configs():
         Y_t = rng.normal(size=(b, c))
         F_v = rng.normal(size=(n_v, d))
         Y_v = one_hot(HardLabels(rng.integers(0, c, size=n_v), c))
-        cfg = IpcConfig(
-            alpha=float(rng.uniform(0.5, 2.0)),
-            lam=float(10 ** rng.uniform(-3, 1)),
-            gamma_ent=float(rng.uniform(0.0, 2.0)),
-            normalize_gram=bool(rng.integers(0, 2)),
-        )
+        alpha = float(rng.uniform(0.5, 2.0))
+        lam = float(10 ** rng.uniform(-3, 1))
+        gamma = float(rng.uniform(0.0, 2.0))
+        per_row = bool(rng.integers(0, 2))  # half the draws scale lam by the batch size
+        cfg = IpcConfig(alpha=alpha, lam=lam * b if per_row else lam, gamma_ent=gamma)
         _, grad = loss_and_label_gradient(F_t, Y_t, F_v, Y_v, cfg)
-        fd = fd_label_gradient(
-            F_t, Y_t, F_v, Y_v, cfg.alpha, cfg.lam, cfg.gamma_ent,
-            step=1e-5, normalize_gram=cfg.normalize_gram,
-        )
+        fd = fd_label_gradient(F_t, Y_t, F_v, Y_v, cfg.alpha, cfg.lam, cfg.gamma_ent, step=1e-5)
         cos = float(
             np.dot(grad.ravel(), fd.ravel())
             / (np.linalg.norm(grad) * np.linalg.norm(fd))
@@ -297,16 +267,17 @@ _SHAPES = [(5, 9), (12, 4), (6, 6), (1, 4), (1, 1), (24, 60)]
 
 
 @pytest.mark.parametrize("b, d", _SHAPES)
-@pytest.mark.parametrize("normalize_gram", [False, True])
+@pytest.mark.parametrize("per_row", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 # At lam = 1e-3 and d > b, F'F + lam I is ill-conditioned and the primal
 # reference itself loses digits.
 @pytest.mark.parametrize("lam, tol", [(1.0, 1e-10), (0.1, 1e-10), (1e-3, 1e-8)])
-def test_label_gradient_matches_primal_reference(b, d, normalize_gram, gamma, lam, tol):
+def test_label_gradient_matches_primal_reference(b, d, per_row, gamma, lam, tol):
+    # per_row scales lam by the batch size b.
     rng = np.random.default_rng(100 * b + d)
     F_t, Y_t = rng.normal(size=(b, d)), rng.normal(size=(b, 3))
     val = _random_val_set(rng, 7, d, 3)
-    cfg = IpcConfig(alpha=1.7, lam=lam, gamma_ent=gamma, normalize_gram=normalize_gram)
+    cfg = IpcConfig(alpha=1.7, lam=lam * b if per_row else lam, gamma_ent=gamma)
     args = (F_t, Y_t, val.features.values, val.labels, cfg)
     loss, grad = loss_and_label_gradient(*args)
     ref_loss, ref_grad = primal_loss_and_label_gradient(*args)
