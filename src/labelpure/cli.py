@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,15 +35,16 @@ _THREAD_ENV_VARS = (
 _REPLAY_HELP = "JSON config file or manifest to replay"
 
 # Keys that older config files and manifests carry, each with the value every
-# run used: Adam's constants in ``labelpure.eac`` and switches the purify loop
-# no longer has. A key replays only at its value; None means any value, as the
-# key never reached the loop.
+# run used: Adam's constants in ``labelpure.eac`` and switches the purify,
+# retrain and corrupt code paths no longer have. A key replays only at its
+# value; None means any value, as the key never reached the loop.
 _RETIRED_KEYS = {
     "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": None,
     "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
     "purifier.normalize_features": False, "purifier.add_bias_feature": False, "purifier.init_scale": 1.0,
     "purifier.eac_steps_per_iter": 1, "purifier.ipc.normalize_gram": False, "purifier.eac.hard_targets": False,
     "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit",
+    "train.weight_decay": 0.0, "exact_count": False,
 }
 
 
@@ -258,7 +259,6 @@ _CORRUPT_OPTIONS = (
     _Opt("--map", "map", help="asymmetric class map, e.g. '0:1,2:3'"),
     _Opt("--seed", "seed", int, default=0),
     _Opt("--classes", "classes", int, "class count (default: max index + 1)"),
-    _Opt("--exact-count", "exact_count", bool, "flip an exact count instead of Bernoulli draws", default=False),
     _Opt("--out", "out", required=True),
     _Opt("--manifest", "manifest"),
 )
@@ -285,7 +285,7 @@ def _cmd_corrupt(cfg: dict) -> tuple:
 
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
-        noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"], cfg["exact_count"])
+        noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"])
     else:  # asymmetric, the only other choice of --kind
         if cfg["map"]:
             class_map = _parse_class_map(cfg["map"])
@@ -293,7 +293,7 @@ def _cmd_corrupt(cfg: dict) -> tuple:
             class_map = dict(noise.CIFAR10_CLASS_MAP)
         else:
             raise ValueError(f"asymmetric noise over {labels.n_classes} classes needs an explicit --map")
-        noisy = noise.inject_asymmetric(labels, cfg["ratio"], class_map, cfg["seed"], cfg["exact_count"])
+        noisy = noise.inject_asymmetric(labels, cfg["ratio"], class_map, cfg["seed"])
         cfg["map"] = ",".join(f"{k}:{v}" for k, v in sorted(class_map.items()))
     data.write_hard_labels(noisy, cfg["out"])
     changed = float((noisy.values != labels.values).mean())
@@ -335,9 +335,7 @@ _PURIFY_OPTIONS = (
 def _purifier_tree() -> dict:
     from .purifier import PurifierConfig
 
-    purifier = asdict(PurifierConfig())
-    purifier.pop("track_truth")
-    return {"purifier": purifier}
+    return {"purifier": asdict(PurifierConfig())}
 
 
 def _cmd_purify(cfg: dict) -> tuple:
@@ -353,9 +351,8 @@ def _cmd_purify(cfg: dict) -> tuple:
     val = data.CleanValidationSet(data.load_features(cfg["val_features"]), data.load_onehot_csv(cfg["val_labels"]))
     features = data.load_features(cfg["features"])
     noisy = data.load_hard_labels(cfg["labels"], val.n_classes)
-    if cfg["truth"]:
-        pcfg = replace(pcfg, track_truth=data.load_hard_labels(cfg["truth"], val.n_classes))
-    logits, purified, rep = purify(features, noisy, val, pcfg)
+    truth = data.load_hard_labels(cfg["truth"], val.n_classes) if cfg["truth"] else None
+    logits, purified, rep = purify(features, noisy, val, pcfg, truth=truth)
 
     data.write_hard_labels(purified, cfg["out_labels"])
     outputs = {"labels": cfg["out_labels"]}
@@ -386,7 +383,6 @@ _RETRAIN_OPTIONS = (
     _Opt("--batch", "train.batch", int),
     _Opt("--lr", "train.lr", float),
     _Opt("--seed", "train.seed", int),
-    _Opt("--weight-decay", "train.weight_decay", float),
     _Opt("--out-model", "out_model", required=True),
     _Opt("--threads", "threads"),
     _Opt("--manifest", "manifest"),

@@ -120,17 +120,10 @@ def _logit_gradient(logits: np.ndarray, targets: np.ndarray, gamma_ent: float) -
     return (softmax(logits) - targets) / logits.shape[0]
 
 
-def eac_train_step(
-    state: TrainState,
-    F_batch: np.ndarray,
-    targets: np.ndarray,
-    *,
-    gamma_ent: float = 1.0,
-    weight_decay: float = 0.0,
-) -> None:
+def eac_train_step(state: TrainState, F_batch: np.ndarray, targets: np.ndarray, *, gamma_ent: float = 1.0) -> None:
     """One Adam update of the classifier in ``state``, in place, on a batch of
     soft targets: the gradient of the mean soft-target cross entropy plus
-    gamma_ent times the prediction entropy, plus weight decay on the weights.
+    gamma_ent times the prediction entropy.
 
     Only the targets' shape is checked here; callers hand in probability rows
     (see check_targets). A non-finite gradient raises before the state changes.
@@ -142,8 +135,6 @@ def eac_train_step(
     grad = state.grad
     dim = state.weights.shape[0]
     np.matmul(F_batch.T, grad_logits, out=grad[:dim])
-    if weight_decay:
-        grad[:dim] += weight_decay * state.weights
     np.sum(grad_logits, axis=0, out=grad[dim])
     if not np.isfinite(grad).all():
         raise NumericError("non-finite classifier gradient")
@@ -157,11 +148,6 @@ def eac_train_step(
 
 
 def eac_label_update(Y_t: np.ndarray, logits_all: np.ndarray, eta: float) -> np.ndarray:
-    """Momentum blend of label logits with classifier logits: (1-eta) Y + eta C."""
-    Y_t = np.asarray(Y_t, dtype=np.float64)
-    logits_all = np.asarray(logits_all, dtype=np.float64)
-    if Y_t.shape != logits_all.shape:
-        raise ValueError(f"logit shape {Y_t.shape} does not match classifier output {logits_all.shape}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    """Momentum blend of label logits with classifier logits: (1-eta) Y + eta C.
+    The loop passes same-shape float arrays and ``EacConfig`` checked ``eta``."""
     return (1.0 - eta) * Y_t + eta * logits_all

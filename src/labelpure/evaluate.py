@@ -21,15 +21,12 @@ class TrainConfig:
     batch: int = 256
     lr: float = 1e-3
     seed: int = 0
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch < 1:
             raise ValueError(f"epochs and batch must be >= 1, got {self.epochs}, {self.batch}")
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 def train_linear_on_targets(
@@ -50,10 +47,7 @@ def train_linear_on_targets(
         perm = rng.permutation(features.n)
         for lo in range(0, features.n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
-            eac_train_step(
-                state, np.take(F, idx, axis=0), np.take(by_class, idx, axis=1).T,
-                gamma_ent=0.0, weight_decay=cfg.weight_decay,
-            )
+            eac_train_step(state, np.take(F, idx, axis=0), np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
     return state.classifier()
 
 
@@ -90,7 +84,15 @@ def load_classifier(path: str | Path) -> LinearClassifier:
         raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
     if data.get("version") != 1:
         raise ValueError(f"{path}: unsupported classifier version {data.get('version')}")
+    arrays = []
     for key in ("weights", "bias"):
         if key not in data:
             raise FormatError(f"{path}: missing key '{key}'")
-    return LinearClassifier(np.asarray(data["weights"]), np.asarray(data["bias"]))
+        try:
+            arrays.append(np.asarray(data[key], dtype=np.float64))
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: {key} must be an array of numbers") from None
+    try:
+        return LinearClassifier(*arrays)
+    except ValueError as exc:  # shapes that do not fit together, or non-finite entries
+        raise FormatError(f"{path}: {exc}") from None

@@ -96,11 +96,8 @@ def loss_and_label_gradient(
     dL/dY through the row-wise softmax Jacobian scaled by alpha. The map is
     applied without being built, through the primal factor when d <= b and the
     dual one when d > b; at lam = 0 the latter raises, as F'F is singular.
+    The four arrays are float64, as the purify loop passes them.
     """
-    F_t = np.asarray(F_t, dtype=np.float64)
-    Y_t = np.asarray(Y_t, dtype=np.float64)
-    F_v = np.asarray(F_v, dtype=np.float64)
-    Y_v = np.asarray(Y_v, dtype=np.float64)
     dual = F_t.shape[1] > F_t.shape[0]
     factor = _cholesky(F_t, cfg.lam, dual)
     S = softmax(cfg.alpha * Y_t)
@@ -120,13 +117,8 @@ def loss_and_label_gradient(
 
 
 def ipc_step(Y_rows: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """One gradient step on the logits: Y - eta * grad."""
-    Y_rows = np.asarray(Y_rows, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if Y_rows.shape != grad.shape:
-        raise ValueError(f"logit shape {Y_rows.shape} does not match gradient {grad.shape}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    """One gradient step on the logits: Y - eta * grad. The gradient is the
+    loop's own, of ``Y_rows``' shape, and ``IpcConfig`` checked ``eta``."""
     if not np.isfinite(grad).all():
         raise NumericError("non-finite label gradient")
     return Y_rows - eta * grad

@@ -116,14 +116,8 @@ def gen_gaussian_mixture_split(
     return train, out[1], out[2]
 
 
-def inject_symmetric(
-    labels: HardLabels, ratio: float, seed: int, exact_count: bool = False
-) -> HardLabels:
-    """Flip each label with probability ``ratio`` to a uniformly chosen other class.
-
-    With ``exact_count`` set, exactly round(ratio * N) labels are flipped
-    instead of an independent Bernoulli draw per sample.
-    """
+def inject_symmetric(labels: HardLabels, ratio: float, seed: int) -> HardLabels:
+    """Flip each label with probability ``ratio`` to a uniformly chosen other class."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
     c = labels.n_classes
@@ -131,25 +125,14 @@ def inject_symmetric(
         raise ValueError(f"symmetric noise needs at least 2 classes, got {c}")
     n = len(labels)
     rng = np.random.default_rng(seed)
-    if exact_count:
-        flip = np.zeros(n, dtype=bool)
-        k = int(round(ratio * n))
-        flip[rng.choice(n, size=k, replace=False)] = True
-    else:
-        flip = rng.random(n) < ratio
+    flip = rng.random(n) < ratio
     # label + 1 + U{0..c-2} mod c is uniform over the c-1 other classes
     offsets = rng.integers(0, c - 1, size=n)
     flipped = (labels.values + 1 + offsets) % c
     return HardLabels(np.where(flip, flipped, labels.values), c)
 
 
-def inject_asymmetric(
-    labels: HardLabels,
-    ratio: float,
-    class_map: dict[int, int],
-    seed: int,
-    exact_count: bool = False,
-) -> HardLabels:
+def inject_asymmetric(labels: HardLabels, ratio: float, class_map: dict[int, int], seed: int) -> HardLabels:
     """Flip mapped classes to their designated target with probability ``ratio``.
 
     Classes absent from the map are never touched; a flipped label always
@@ -169,15 +152,7 @@ def inject_asymmetric(
         target[src] = dst
         mapped[src] = True
     eligible = mapped[labels.values]
-    if exact_count:
-        flip = np.zeros(len(labels), dtype=bool)
-        for src in class_map:
-            idx = np.flatnonzero(labels.values == src)
-            k = int(round(ratio * idx.size))
-            if k:
-                flip[rng.choice(idx, size=k, replace=False)] = True
-    else:
-        flip = (rng.random(len(labels)) < ratio) & eligible
+    flip = (rng.random(len(labels)) < ratio) & eligible
     return HardLabels(np.where(flip, target[labels.values], labels.values), c)
 
 

@@ -31,19 +31,14 @@ from .report import REPORT_SCHEMA, CorrectionReport, IterationRecord, save_repor
 
 @dataclass(frozen=True)
 class PurifierConfig:
-    """Loop configuration.
-
-    ``track_truth`` carries ground-truth labels used only for reporting; it
-    never influences the updates. ``use_ipc`` / ``use_eac`` switch the two
-    correction processes on and off for ablations.
-    """
+    """Loop configuration. ``use_ipc`` / ``use_eac`` switch the two correction
+    processes on and off for ablations."""
 
     ipc: IpcConfig = field(default_factory=IpcConfig)
     eac: EacConfig = field(default_factory=EacConfig)
     batch_size: int = 256
     epochs: int = 100
     shuffle_seed: int = 0
-    track_truth: HardLabels | None = None
     use_ipc: bool = True
     use_eac: bool = True
 
@@ -61,8 +56,12 @@ def purify(
     noisy: HardLabels,
     val: CleanValidationSet,
     cfg: PurifierConfig,
+    truth: HardLabels | None = None,
 ) -> tuple[LabelLogits, HardLabels, CorrectionReport]:
     """Run the correction loop and return purified logits, hard labels, and report.
+
+    ``truth``, when given, adds label accuracy to the report; it never
+    influences the updates.
 
     Per epoch the training indices are shuffled (seeded) and split into
     batches. Per batch: one hypergradient step on that batch's logit rows,
@@ -80,9 +79,8 @@ def purify(
         )
     if val.n_classes != c:
         raise ValueError(f"class count mismatch: labels {c} vs validation {val.n_classes}")
-    truth = cfg.track_truth
     if truth is not None and (len(truth) != n or truth.n_classes != c):
-        raise ValueError("track_truth must match the noisy labels in length and classes")
+        raise ValueError("truth must match the noisy labels in length and classes")
 
     F_t = features.values
     F_v = val.features.values

@@ -105,7 +105,6 @@ def eac_gradients(
     F: np.ndarray,
     targets: np.ndarray,
     gamma_ent: float = 1.0,
-    weight_decay: float = 0.0,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus its analytic gradients w.r.t. classifier weights and bias."""
     F = np.asarray(F, dtype=np.float64)
@@ -113,7 +112,7 @@ def eac_gradients(
     logits = classifier_forward(clf, F)
     loss = eac_loss(logits, targets, gamma_ent)
     grad_logits = _logit_gradient(logits, targets, gamma_ent)
-    return loss, F.T @ grad_logits + weight_decay * clf.weights, grad_logits.sum(axis=0)
+    return loss, F.T @ grad_logits, grad_logits.sum(axis=0)
 
 
 def linear_probe(
@@ -326,13 +325,12 @@ def functional_train_step(
     targets: np.ndarray,
     opt: AdamState,
     gamma_ent: float,
-    weight_decay: float = 0.0,
 ) -> tuple[LinearClassifier, AdamState]:
     """One Adam step of the classifier on soft targets, returning a new
     classifier and a new optimizer state: the reference for ``eac_train_step``."""
     _, q, _, d_entropy = rowmajor_softmax_entropy(F @ clf.weights + clf.bias)
     grad_logits = (q - targets + gamma_ent * d_entropy) / F.shape[0]
-    grad_w = F.T @ grad_logits + weight_decay * clf.weights
+    grad_w = F.T @ grad_logits
     grad_b = grad_logits.sum(axis=0)
     step = opt.step + 1
     m_w = _BETA1 * opt.m_w + (1 - _BETA1) * grad_w
@@ -382,7 +380,7 @@ def reference_train_linear_ce(features: FeatureMatrix, labels: HardLabels, cfg: 
         perm = rng.permutation(features.n)
         for lo in range(0, features.n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
-            clf, opt = functional_train_step(clf, F[idx], targets[idx], opt, 0.0, cfg.weight_decay)
+            clf, opt = functional_train_step(clf, F[idx], targets[idx], opt, 0.0)
     return clf
 
 

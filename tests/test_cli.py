@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -364,17 +365,6 @@ def test_corrupt_refuses_an_unknown_kind(tmp_path, capsys):
     assert not (tmp_path / "n.txt").exists()
 
 
-def test_corrupt_exact_count(tmp_path):
-    (tmp_path / "y.txt").write_text("".join(f"{i % 4}\n" for i in range(100)))
-    assert dispatch([
-        "corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.25",
-        "--seed", "5", "--exact-count", "--out", str(tmp_path / "n.txt"),
-    ]) == 0
-    noisy = load_hard_labels(tmp_path / "n.txt", 4)
-    clean = load_hard_labels(tmp_path / "y.txt", 4)
-    assert int((noisy.values != clean.values).sum()) == 25
-
-
 # ---------------------------------------------------------------- retrain variants
 
 
@@ -437,13 +427,12 @@ def test_purify_requires_out_labels(tmp_path, capsys):
 _OPTION_STRINGS = {
     "synth": """--config --n --dim --classes --separation --seed --out-features --out-labels --n-val
         --out-val-features --out-val-labels --n-test --out-test-features --out-test-labels --manifest""",
-    "corrupt": """--config --labels --kind --ratio --map --seed --classes --exact-count --no-exact-count
-        --out --manifest""",
+    "corrupt": "--config --labels --kind --ratio --map --seed --classes --out --manifest",
     "purify": """--config --features --labels --val-features --val-labels --truth --out-labels --out-logits
         --report --alpha --lambda --eta-i --eta-e --period --batch --epochs --seed --ipc-gamma-ent
         --eac-gamma-ent --eac-lr --val-batch --ipc --no-ipc --eac --no-eac --threads --manifest""",
     "retrain": """--config --features --labels --soft-logits --alpha --epochs --batch --lr --seed
-        --weight-decay --out-model --threads --manifest""",
+        --out-model --threads --manifest""",
     "eval": "--config --model --features --labels --out-json --threads --manifest",
     "report": "--in --csv --manifest",
 }
@@ -591,6 +580,67 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     assert Path("logits.bin").read_bytes() == Path("flags.bin").read_bytes()
 
 
+# corrupt and retrain manifests as written before exact_count and
+# train.weight_decay were retired, for inputs made below with the same paths.
+_LEGACY_CORRUPT_MANIFEST = """{
+  "command": "corrupt", "artifact_version": "0.1.0", "created_utc": "2026-10-18T15:03:02.457794+00:00",
+  "config": {
+    "version": 1, "labels": "y.txt", "kind": "symmetric", "ratio": 0.4, "map": null, "seed": 2,
+    "classes": null, "exact_count": false, "out": "noisy.txt", "manifest": null
+  },
+  "inputs": {"labels": {"path": "y.txt", "sha256": "68df641380aad57a56210efd52a5760a8038c1f1c0b1589ef4f92c37d9ce0b17"}},
+  "outputs": {"labels": "noisy.txt"},
+  "seeds": {"seed": 2}
+}
+"""
+_LEGACY_RETRAIN_MANIFEST = """{
+  "command": "retrain", "artifact_version": "0.1.0", "created_utc": "2026-10-18T15:03:02.838980+00:00",
+  "config": {
+    "version": 1, "features": "f.bin", "labels": "noisy.txt", "soft_logits": null, "alpha": 1.0,
+    "out_model": "model.json", "threads": null, "manifest": null,
+    "train": {"epochs": 5, "batch": 64, "lr": 0.001, "seed": 0, "weight_decay": 0.0}
+  },
+  "inputs": {
+    "features": {"path": "f.bin", "sha256": "6cdc33fe465538a3c45c66c1826d88b00ffa3dc68eac591b0bd46daba1323ed7"},
+    "labels": {"path": "noisy.txt", "sha256": "0326b69a076295208e74c68a3e8a68fc363158300943e23a1bc5228445f747ec"}
+  },
+  "outputs": {"model": "model.json"},
+  "seeds": {"seed": 0}
+}
+"""
+
+
+def test_legacy_corrupt_and_retrain_manifests_replay_bitwise(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch([
+        "synth", "--n", "200", "--dim", "16", "--classes", "4", "--separation", "8", "--seed", "3",
+        "--out-features", "f.bin", "--out-labels", "y.txt",
+        "--n-val", "40", "--out-val-features", "vf.bin", "--out-val-labels", "vy.csv",
+    ]) == 0
+    Path("corrupt.json").write_text(_LEGACY_CORRUPT_MANIFEST)
+    assert dispatch(["corrupt", "--config", "corrupt.json"]) == 0
+    expected = json.loads(_LEGACY_CORRUPT_MANIFEST)["config"]
+    del expected["exact_count"]
+    assert _manifest("noisy.txt.manifest.json")["config"] == expected
+    assert _manifest("noisy.txt.manifest.json")["inputs"] == json.loads(_LEGACY_CORRUPT_MANIFEST)["inputs"]
+    assert dispatch(["corrupt", "--labels", "y.txt", "--ratio", "0.4", "--seed", "2", "--out", "flags.txt"]) == 0
+    assert Path("noisy.txt").read_bytes() == Path("flags.txt").read_bytes()
+    # The retrain manifest recorded the digest of the noisy labels it was run on.
+    recorded_noisy = json.loads(_LEGACY_RETRAIN_MANIFEST)["inputs"]["labels"]["sha256"]
+    assert hashlib.sha256(Path("noisy.txt").read_bytes()).hexdigest() == recorded_noisy
+
+    Path("retrain.json").write_text(_LEGACY_RETRAIN_MANIFEST)
+    assert dispatch(["retrain", "--config", "retrain.json"]) == 0
+    expected = json.loads(_LEGACY_RETRAIN_MANIFEST)["config"]
+    del expected["train"]["weight_decay"]
+    assert _manifest("model.json.manifest.json")["config"] == expected
+    assert dispatch([
+        "retrain", "--features", "f.bin", "--labels", "noisy.txt", "--epochs", "5", "--batch", "64",
+        "--out-model", "flags.json",
+    ]) == 0
+    assert Path("model.json").read_bytes() == Path("flags.json").read_bytes()
+
+
 def test_legacy_eac_seed_replays_bitwise(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _synth(tmp_path, n=200, n_val=40, n_test=0)
@@ -633,28 +683,32 @@ _RETIRED = {
     "purifier.eac.hard_targets": ([False], [True, 0]),
     "purifier.eac.use_bias": ([True], [False, 1]),
     "purifier.eac.blend_space": (["logit"], ["probability"]),
+    "train.weight_decay": ([0.0, 0], [0.01, True, "0.0", None]),
+    "exact_count": ([False], [True, 0, None]),
 }
 
 
-@pytest.mark.parametrize("key, tree", [tuple(reversed(dotted.rsplit(".", 1))) for dotted in _RETIRED_KEYS])
+# A top-level key (exact_count) has the empty tree.
+@pytest.mark.parametrize("key, tree", [(key, tree) for tree, _, key in (d.rpartition(".") for d in _RETIRED_KEYS)])
 def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, capsys):
     assert _RETIRED.keys() == _RETIRED_KEYS.keys()
+    dotted = f"{tree}.{key}" if tree else key
 
     def config(value):
         node = {key: value}
-        for part in reversed(tree.split(".")):
+        for part in reversed(tree.split(".") if tree else []):
             node = {part: node}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"version": 1, **node}))
         return path
 
-    replays, refused = _RETIRED[f"{tree}.{key}"]
+    replays, refused = _RETIRED[dotted]
     for value in replays:
-        assert _lookup(_load_config_file(config(value)), tree) == {}
-    command = "retrain" if tree == "train" else "purify"
+        assert _flatten(_load_config_file(config(value))) == {"version": 1}
+    command = {"train": "retrain", "": "corrupt"}.get(tree, "purify")
     for value in refused:
         assert dispatch([command, "--config", str(config(value))]) == 1
-        assert f"{tree}.{key} = {json.dumps(value)} is no longer configurable" in capsys.readouterr().err
+        assert f"{dotted} = {json.dumps(value)} is no longer configurable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

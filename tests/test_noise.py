@@ -164,28 +164,6 @@ def test_symmetric_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_symmetric_exact_count():
-    labels = _labels(1000, 5, 7)
-    noisy = inject_symmetric(labels, 0.37, seed=8, exact_count=True)
-    assert int((noisy.values != labels.values).sum()) == 370
-
-
-def test_symmetric_exact_count_full_ratio_flips_everything():
-    labels = _labels(300, 6, 8)
-    noisy = inject_symmetric(labels, 1.0, seed=9, exact_count=True)
-    assert not np.any(noisy.values == labels.values)
-
-
-def test_exact_count_modes_are_deterministic():
-    labels = _labels(400, 5, 9)
-    a = inject_symmetric(labels, 0.5, seed=10, exact_count=True)
-    b = inject_symmetric(labels, 0.5, seed=10, exact_count=True)
-    assert np.array_equal(a.values, b.values)
-    c = inject_asymmetric(labels, 0.5, {0: 1, 1: 0}, seed=11, exact_count=True)
-    d = inject_asymmetric(labels, 0.5, {0: 1, 1: 0}, seed=11, exact_count=True)
-    assert np.array_equal(c.values, d.values)
-
-
 def test_symmetric_rejects_bad_inputs():
     labels = _labels(10, 4, 0)
     with pytest.raises(ValueError):
@@ -228,13 +206,6 @@ def test_asymmetric_unmapped_classes_untouched():
     out = inject_asymmetric(labels, 0.9, CIFAR10_CLASS_MAP, seed=6)
     unmapped = ~np.isin(labels.values, list(CIFAR10_CLASS_MAP))
     assert np.array_equal(out.values[unmapped], labels.values[unmapped])
-
-
-def test_asymmetric_exact_count_per_class():
-    labels = HardLabels(np.repeat([0, 1], 100), 2)
-    out = inject_asymmetric(labels, 0.25, {0: 1}, seed=7, exact_count=True)
-    assert int((out.values != labels.values).sum()) == 25
-    assert np.all(out.values[100:] == 1)
 
 
 def test_asymmetric_rejects_self_map():

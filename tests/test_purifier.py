@@ -89,10 +89,9 @@ def test_clean_labels_stay_put_on_separable_benchmark():
 
 def test_truth_tracking_never_changes_outputs():
     features, clean, noisy, val = _small_problem()
-    cfg_plain = _quick_config()
-    cfg_tracked = _quick_config(track_truth=clean)
-    logits_a, labels_a, report_a = purify(features, noisy, val, cfg_plain)
-    logits_b, labels_b, report_b = purify(features, noisy, val, cfg_tracked)
+    cfg = _quick_config()
+    logits_a, labels_a, report_a = purify(features, noisy, val, cfg)
+    logits_b, labels_b, report_b = purify(features, noisy, val, cfg, truth=clean)
     assert np.array_equal(logits_a.values, logits_b.values)
     assert np.array_equal(labels_a.values, labels_b.values)
     assert all(r.acc is None for r in report_a.records)
@@ -108,7 +107,7 @@ def test_tracked_accuracy_equals_a_full_recount(monkeypatch):
     # records follow ridge steps before and after replacements as well as
     # replacements; a large eta makes ridge steps flip labels.
     features, clean, noisy, val = _small_problem()
-    cfg = _quick_config(track_truth=clean, ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3), epochs=4)
+    cfg = _quick_config(ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3), epochs=4)
     rng = np.random.default_rng(cfg.shuffle_seed)
     batches = iter(
         perm[lo : lo + cfg.batch_size]
@@ -135,7 +134,7 @@ def test_tracked_accuracy_equals_a_full_recount(monkeypatch):
     monkeypatch.setattr(purifier, "ipc_step", ridge_step)
     monkeypatch.setattr(purifier, "eac_label_update", replacement)
     monkeypatch.setattr(purifier, "IterationRecord", record)
-    _, purified, report = purify(features, noisy, val, cfg)
+    _, purified, report = purify(features, noisy, val, cfg, truth=clean)
     assert [r.acc for r in report.records] == recounts
     assert len(recounts) == 8 and next(batches, None) is None
     assert recounts[0] != label_accuracy(noisy, clean) and len(set(recounts)) > 2
@@ -280,7 +279,7 @@ def test_purify_validates_shapes():
         purify(features, short, val, _quick_config())
     bad_truth = HardLabels(clean.values[:-1], clean.n_classes)
     with pytest.raises(ValueError):
-        purify(features, noisy, val, _quick_config(track_truth=bad_truth))
+        purify(features, noisy, val, _quick_config(), truth=bad_truth)
 
 
 def test_config_validation():
@@ -297,7 +296,7 @@ def test_config_validation():
 
 def test_report_round_trip(tmp_path):
     features, clean, noisy, val = _small_problem()
-    _, _, report = purify(features, noisy, val, _quick_config(track_truth=clean))
+    _, _, report = purify(features, noisy, val, _quick_config(), truth=clean)
     path = tmp_path / "report.jsonl"
     save_report(report, path)
     back = load_report(path)
