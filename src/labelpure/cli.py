@@ -5,8 +5,9 @@ the one config key it sets (dotted when nested). The defaults, the argparse
 arguments and the flag resolution all derive from it. The ``purifier`` and
 ``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``, and
 every key of every command has exactly one flag. Keys that older releases
-wrote (``_RETIRED_KEYS``) are dropped from ``--config`` files when replaying
-them cannot change a run; any other key a command's defaults lack is an error.
+wrote for a command (``_RETIRED_KEYS``) are dropped from that command's
+``--config`` files when replaying them cannot change a run; any other key a
+command's defaults lack is an error.
 
 Every run resolves its full configuration (defaults < config file < flags)
 and ``dispatch`` writes a manifest recording the resolved config, input
@@ -34,17 +35,20 @@ _THREAD_ENV_VARS = (
 
 _REPLAY_HELP = "JSON config file or manifest to replay"
 
-# Keys that older config files and manifests carry, each with the value every
-# run used: Adam's constants in ``labelpure.eac`` and switches the purify,
-# retrain and corrupt code paths no longer have. A key replays only at its
-# value; None means any value, as the key never reached the loop.
+# Keys that older config files and manifests carry, per command that wrote
+# them, each with the value every run used: Adam's constants in
+# ``labelpure.eac`` and switches the purify, retrain and corrupt code paths no
+# longer have. A key replays only at its value, and only for its command; None
+# means any value, as the key never reached the loop.
 _RETIRED_KEYS = {
-    "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": None,
-    "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
-    "purifier.normalize_features": False, "purifier.add_bias_feature": False, "purifier.init_scale": 1.0,
-    "purifier.eac_steps_per_iter": 1, "purifier.ipc.normalize_gram": False, "purifier.eac.hard_targets": False,
-    "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit",
-    "train.weight_decay": 0.0, "exact_count": False,
+    "purify": {
+        "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": None,
+        "purifier.normalize_features": False, "purifier.add_bias_feature": False, "purifier.init_scale": 1.0,
+        "purifier.eac_steps_per_iter": 1, "purifier.ipc.normalize_gram": False, "purifier.eac.hard_targets": False,
+        "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit",
+    },
+    "retrain": {"train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8, "train.weight_decay": 0.0},
+    "corrupt": {"exact_count": False},
 }
 
 
@@ -139,7 +143,7 @@ def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
         raise ValueError(f"{where} must be one of {', '.join(opt.choices)}, got {json.dumps(value)}")
 
 
-def _load_config_file(path: str | Path) -> dict:
+def _load_config_file(path: str | Path, command: str) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
         data = data["config"]
@@ -148,7 +152,7 @@ def _load_config_file(path: str | Path) -> dict:
     version = data.get("version", 1)
     if version != 1:
         raise ValueError(f"{path}: unsupported config version {version}")
-    for dotted, ran_with in _RETIRED_KEYS.items():
+    for dotted, ran_with in _RETIRED_KEYS.get(command, {}).items():
         *parents, leaf = dotted.split(".")
         node = data
         for key in parents:
@@ -180,7 +184,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The run's config: defaults < ``--config`` file < flags, with required keys checked."""
     cmd = _COMMANDS[args.command]
     source = getattr(args, "config", None)
-    overlay = _load_config_file(source) if source else {}
+    overlay = _load_config_file(source, args.command) if source else {}
     # Before _defaults: building the purify/retrain trees imports numpy.
     _apply_threads(getattr(args, "threads", None) or overlay.get("threads"))
     cfg = _deep_update(_defaults(args.command), overlay, source, {opt.key: opt for opt in cmd.options})

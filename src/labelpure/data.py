@@ -214,7 +214,7 @@ def load_features(path: str | Path) -> FeatureMatrix:
     Layout: magic ``DMLPFEAT``, u32 version, u64 row count, u32 dim (all
     little-endian), then rows*dim little-endian f32 values, row-major. The
     header is checked against the file size, then one float64 matrix is
-    filled from f32 chunks, each checked as it arrives.
+    filled from f32 chunks; ``FeatureMatrix`` makes the one finiteness scan.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -242,14 +242,18 @@ def load_features(path: str | Path) -> FeatureMatrix:
             got = fh.readinto(chunk)
             if got < chunk.nbytes:  # the file shrank after the size check
                 _check_payload_size(path, lo * 4 + got, total * 4)
-            finite = np.isfinite(chunk)
-            if not finite.all():
-                idx = lo + int(np.argmin(finite))
-                raise FormatError(f"{path}: non-finite value at byte offset {_HEADER.size + idx * 4}")
             flat[lo : lo + chunk.size] = chunk
         if fh.read(1):
             _check_payload_size(path, total * 4 + 1, total * 4)
-    return FeatureMatrix(out)
+    try:
+        return FeatureMatrix(out)
+    except ValueError:  # only a non-finite value fails here: find the first one
+        for lo in range(0, total, _CHUNK_VALUES):
+            finite = np.isfinite(flat[lo : lo + _CHUNK_VALUES])
+            if not finite.all():
+                idx = lo + int(np.argmin(finite))
+                raise FormatError(f"{path}: non-finite value at byte offset {_HEADER.size + idx * 4}") from None
+        raise
 
 
 def _check_payload_size(path: Path, have: int, expected: int) -> None:

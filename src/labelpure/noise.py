@@ -16,6 +16,11 @@ from .data import FeatureMatrix, HardLabels
 # truck->automobile, bird->airplane, deer->horse, cat<->dog.
 CIFAR10_CLASS_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
 
+# Scratch bytes for shuffling one split's rows in place. A split of at most
+# half this size is gathered into a fresh copy; a larger one is permuted
+# along its cycles, so it never exists twice.
+_SHUFFLE_SCRATCH_BYTES = 2 << 20
+
 
 def _check_class_map(class_map: dict[int, int]) -> None:
     for src, dst in class_map.items():
@@ -71,6 +76,38 @@ def _cluster_means(rng: np.random.Generator, spec: MixtureSpec) -> np.ndarray:
     raise RuntimeError("failed to place distinct cluster means")
 
 
+def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> None:
+    """Set ``rows[:] = rows[perm]`` in place, in about ``_SHUFFLE_SCRATCH_BYTES`` of scratch.
+
+    Every k-th row is saved, with k chosen so the saved copy and one step's
+    gather share the budget, and those rows are written first. Each step then
+    moves one row further along every cycle of ``perm``: it writes the rows
+    whose old values the previous step read, taking a saved row from the
+    copy. The few cycles that hold no saved row are gathered at the end.
+    """
+    k = -(-2 * rows.nbytes // _SHUFFLE_SCRATCH_BYTES)
+    if k <= 1:
+        rows[...] = rows[perm]
+        return
+    saved = rows[::k].copy()
+    is_saved = np.zeros(len(rows), dtype=bool)
+    is_saved[::k] = True
+    written = is_saved.copy()
+    src = perm[::k]
+    rows[::k] = rows[src]
+    pos = src[~is_saved[src]]
+    while pos.size:
+        src = perm[pos]
+        from_copy = is_saved[src]
+        moved = rows[src]
+        moved[from_copy] = saved[src[from_copy] // k]
+        rows[pos] = moved
+        written[pos] = True
+        pos = src[~from_copy]
+    rest = np.flatnonzero(~written)
+    rows[rest] = rows[perm[rest]]
+
+
 def gen_gaussian_mixture_split(
     spec: MixtureSpec, n_val: int = 0, n_test: int = 0
 ) -> tuple[
@@ -93,7 +130,8 @@ def gen_gaussian_mixture_split(
 
     # Each split's rows are drawn class-major straight into one buffer: class
     # k's train rows, then its validation and test rows, then class k+1's.
-    buffers: list[np.ndarray | None] = [np.empty((size, spec.dim)) for size in sizes]
+    # Each buffer is then shuffled in place and becomes the split's matrix.
+    buffers = [np.empty((size, spec.dim)) for size in sizes]
     ends = [np.cumsum(cnt) for cnt in counts]
     for k in range(spec.classes):
         for buf, end, cnt in zip(buffers, ends, counts):
@@ -107,10 +145,9 @@ def gen_gaussian_mixture_split(
             out.append(None)
             continue
         perm = rng.permutation(size)
-        feats = buffers[s][perm]
-        buffers[s] = None  # drop the unshuffled rows before the next split's gather
+        _permute_rows(buffers[s], perm)
         labels = np.repeat(np.arange(spec.classes, dtype=np.int64), counts[s])
-        out.append((FeatureMatrix(feats), HardLabels(labels[perm], spec.classes)))
+        out.append((FeatureMatrix(buffers[s]), HardLabels(labels[perm], spec.classes)))
     train = out[0]
     assert train is not None
     return train, out[1], out[2]

@@ -688,27 +688,48 @@ _RETIRED = {
 }
 
 
+# Each retired key and the one command that wrote it.
+_RETIRED_OWNER = {dotted: command for command, rows in _RETIRED_KEYS.items() for dotted in rows}
+
+
+def _nested(dotted, value):
+    node = value
+    for part in reversed(dotted.split(".")):
+        node = {part: node}
+    return node
+
+
 # A top-level key (exact_count) has the empty tree.
-@pytest.mark.parametrize("key, tree", [(key, tree) for tree, _, key in (d.rpartition(".") for d in _RETIRED_KEYS)])
+@pytest.mark.parametrize("key, tree", [(key, tree) for tree, _, key in (d.rpartition(".") for d in _RETIRED_OWNER)])
 def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, capsys):
-    assert _RETIRED.keys() == _RETIRED_KEYS.keys()
+    assert _RETIRED.keys() == _RETIRED_OWNER.keys()
     dotted = f"{tree}.{key}" if tree else key
+    command = _RETIRED_OWNER[dotted]
 
     def config(value):
-        node = {key: value}
-        for part in reversed(tree.split(".") if tree else []):
-            node = {part: node}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"version": 1, **node}))
+        path.write_text(json.dumps({"version": 1, **_nested(dotted, value)}))
         return path
 
     replays, refused = _RETIRED[dotted]
     for value in replays:
-        assert _flatten(_load_config_file(config(value))) == {"version": 1}
-    command = {"train": "retrain", "": "corrupt"}.get(tree, "purify")
+        assert _flatten(_load_config_file(config(value), command)) == {"version": 1}
     for value in refused:
         assert dispatch([command, "--config", str(config(value))]) == 1
         assert f"{dotted} = {json.dumps(value)} is no longer configurable" in capsys.readouterr().err
+
+
+# A retired key replays only for the command that wrote it: to any other it is
+# an unknown key, at the value every run used as at any other.
+@pytest.mark.parametrize("dotted", list(_RETIRED_OWNER))
+def test_retired_key_is_unknown_to_the_other_commands(dotted, tmp_path, capsys):
+    replays, refused = _RETIRED[dotted]
+    path = tmp_path / "cfg.json"
+    for command in (c for c, cmd in _COMMANDS.items() if cmd.replay and c != _RETIRED_OWNER[dotted]):
+        for value in replays[:1] + refused[:1]:
+            path.write_text(json.dumps({"version": 1, **_nested(dotted, value)}))
+            assert dispatch([command, "--config", str(path)]) == 1, (command, value)
+            assert f"unknown config key '{dotted.split('.')[0]}'" in capsys.readouterr().err, (command, value)
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

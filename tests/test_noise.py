@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelpure import noise
 from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
 from labelpure.noise import (
     CIFAR10_CLASS_MAP,
@@ -74,20 +78,19 @@ def test_mixture_separable_benchmark_clean_probe():
     assert evaluate_classifier(clf, test[0], test[1]) >= 0.99
 
 
-@pytest.mark.parametrize(
-    "spec, n_val, n_test",
-    [
-        (MixtureSpec(2000, 32, 5, 8.0, seed=0), 100, 1000),  # the paper benchmark
-        (MixtureSpec(50, 4, 3, 2.0, seed=1), 0, 0),
-        (MixtureSpec(50, 4, 3, 2.0, seed=2), 0, 7),
-        (MixtureSpec(50, 4, 3, 2.0, seed=3), 9, 0),
-        (MixtureSpec(103, 6, 7, 3.0, seed=4), 11, 13),  # no split divisible by the classes
-        (MixtureSpec(9, 3, 2, 1.5, seed=5), 1, 3),  # 2 classes, a 1-row split
-        (MixtureSpec(40, 1, 4, 2.0, seed=6), 5, 6),  # dim 1
-        (MixtureSpec(30, 5, 10, 4.0, seed=7), 3, 4),  # splits smaller than the class count
-    ],
-)
-def test_mixture_split_matches_the_block_reference_bitwise(spec, n_val, n_test):
+_MIXTURE_CASES = [
+    (MixtureSpec(2000, 32, 5, 8.0, seed=0), 100, 1000),  # the paper benchmark
+    (MixtureSpec(50, 4, 3, 2.0, seed=1), 0, 0),
+    (MixtureSpec(50, 4, 3, 2.0, seed=2), 0, 7),
+    (MixtureSpec(50, 4, 3, 2.0, seed=3), 9, 0),
+    (MixtureSpec(103, 6, 7, 3.0, seed=4), 11, 13),  # no split divisible by the classes
+    (MixtureSpec(9, 3, 2, 1.5, seed=5), 1, 3),  # 2 classes, a 1-row split
+    (MixtureSpec(40, 1, 4, 2.0, seed=6), 5, 6),  # dim 1
+    (MixtureSpec(30, 5, 10, 4.0, seed=7), 3, 4),  # splits smaller than the class count
+]
+
+
+def _assert_matches_the_block_reference(spec, n_val, n_test):
     got = gen_gaussian_mixture_split(spec, n_val, n_test)
     want = reference_gaussian_mixture_split(spec, n_val, n_test)
     for part, ref in zip(got, want):
@@ -95,6 +98,21 @@ def test_mixture_split_matches_the_block_reference_bitwise(spec, n_val, n_test):
         if part is not None:
             assert part[0].values.tobytes() == ref[0].values.tobytes()
             assert np.array_equal(part[1].values, ref[1].values)
+
+
+# The default scratch shuffles every one of these splits with one gather.
+@pytest.mark.parametrize("spec, n_val, n_test", _MIXTURE_CASES)
+def test_mixture_split_matches_the_block_reference_bitwise(spec, n_val, n_test):
+    _assert_matches_the_block_reference(spec, n_val, n_test)
+
+
+# 4 KiB of scratch sends the larger splits along their cycles; 1 byte saves
+# only row 0, so every other cycle is left to the final gather.
+@pytest.mark.parametrize("scratch", [4096, 1], ids=["4KiB", "1B"])
+@pytest.mark.parametrize("spec, n_val, n_test", _MIXTURE_CASES)
+def test_mixture_split_matches_the_block_reference_in_place(spec, n_val, n_test, scratch, monkeypatch):
+    monkeypatch.setattr(noise, "_SHUFFLE_SCRATCH_BYTES", scratch)
+    _assert_matches_the_block_reference(spec, n_val, n_test)
 
 
 def test_mixture_split_holds_each_matrix_once():
@@ -106,9 +124,39 @@ def test_mixture_split_holds_each_matrix_once():
     finally:
         tracemalloc.stop()
     size = sum(f.values.nbytes + y.values.nbytes for f, y in splits)
-    # The three unshuffled split buffers plus the train split's shuffled copy;
-    # per-class blocks and a concatenated copy would take the peak past 3x.
-    assert peak < 2.0 * size, peak / size
+    # The three split buffers, each shuffled in place, plus the shuffle's
+    # fixed scratch (1.21x). Gathering the 10 MB train split into a shuffled
+    # copy took the peak to 1.83x, and per-class blocks would take it past 3x.
+    assert peak < 1.25 * size, peak / size
+
+
+def _permutation(kind, n, seed):
+    if kind == "identity":
+        return np.arange(n)
+    if kind == "pairs":  # all 2-cycles, plus a fixed point when n is odd
+        return np.minimum(np.arange(n) ^ 1, n - 1)
+    return np.random.default_rng(seed).permutation(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    kind=st.sampled_from(["random", "identity", "pairs"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_permute_rows_in_place_equals_the_gather(n, dim, kind, seed, data):
+    rows = np.arange(n * dim, dtype=np.float64).reshape(n, dim)
+    perm = _permutation(kind, n, seed)
+    want = rows[perm].tobytes()
+    # 1 byte saves only row 0; 2 * nbytes bytes take the plain gather. Once
+    # a row is skipped, each fixed point of the identity and each pair of
+    # "pairs" that holds no saved row is a cycle left to the final gather.
+    scratch = data.draw(st.integers(1, 2 * rows.nbytes))
+    with mock.patch.object(noise, "_SHUFFLE_SCRATCH_BYTES", scratch):
+        noise._permute_rows(rows, perm)
+    assert rows.tobytes() == want
 
 
 def test_mixture_spec_validation():
