@@ -275,10 +275,12 @@ def _parse_class_map(text: str) -> dict[int, int]:
         if not part:
             continue
         try:
-            src, dst = part.split(":")
-            out[int(src)] = int(dst)
+            src, dst = (int(side) for side in part.split(":"))
         except ValueError:
             raise ValueError(f"bad class map entry {part!r}, expected 'src:dst'") from None
+        if src in out:
+            raise ValueError(f"class map gives source class {src} twice")
+        out[src] = dst
     if not out:
         raise ValueError("empty class map")
     return out

@@ -268,7 +268,7 @@ def _check_payload_size(path: Path, have: int, expected: int) -> None:
 
 def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
     """Write labels as text, one decimal class index per line."""
-    Path(path).write_text("".join(f"{v}\n" for v in labels.values), encoding="utf-8")
+    Path(path).write_text("".join([f"{v}\n" for v in labels.values.tolist()]), encoding="utf-8")
 
 
 def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabels:

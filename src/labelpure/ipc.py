@@ -18,14 +18,40 @@ a rank-deficient one raises when its factorization breaks down.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import softmax, softmax_entropy
 from .errors import NumericError
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's f2py LAPACK extension, loaded without the ``scipy.linalg``
+    package init, which imports every linalg submodule. It goes into
+    sys.modules under its own name, or is taken from there, so a later
+    ``import scipy.linalg`` holds this very module."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = PathFinder.find_spec(name, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {name} is missing", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,11 @@ def _manifest(path):
 
 
 def _synth(tmp_path, n=800, dim=16, classes=4, sep=8.0, seed=3, n_val=80, n_test=400):
-    args = [
+    assert dispatch(_synth_args(tmp_path, n, dim, classes, sep, seed, n_val, n_test)) == 0
+
+
+def _synth_args(tmp_path, n, dim, classes, sep, seed, n_val, n_test):
+    return [
         "synth", "--n", str(n), "--dim", str(dim), "--classes", str(classes),
         "--separation", str(sep), "--seed", str(seed),
         "--out-features", str(tmp_path / "f.bin"),
@@ -37,7 +41,6 @@ def _synth(tmp_path, n=800, dim=16, classes=4, sep=8.0, seed=3, n_val=80, n_test
         "--out-test-features", str(tmp_path / "tf.bin"),
         "--out-test-labels", str(tmp_path / "ty.txt"),
     ]
-    assert dispatch(args) == 0
 
 
 # ---------------------------------------------------------------- exit codes
@@ -208,6 +211,35 @@ def test_report_command_loads_neither_numpy_nor_scipy(tmp_path):
     assert (tmp_path / "rep.csv").read_text().splitlines()[1] == "1,0,0.5,1.0,0,"
 
 
+def test_pipeline_commands_never_load_scipy_linalg(tmp_path):
+    """synth, corrupt, retrain and eval load numpy alone; purify adds scipy's
+    LAPACK extension but not the scipy.linalg package around it."""
+    commands = [
+        _synth_args(tmp_path, n=200, dim=8, classes=3, sep=8.0, seed=1, n_val=30, n_test=30),
+        ["corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.3", "--out", str(tmp_path / "noisy.txt")],
+        ["retrain", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "noisy.txt"),
+         "--epochs", "2", "--out-model", str(tmp_path / "m.json")],
+        ["eval", "--model", str(tmp_path / "m.json"), "--features", str(tmp_path / "tf.bin"),
+         "--labels", str(tmp_path / "ty.txt")],
+        ["purify", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "noisy.txt"),
+         "--val-features", str(tmp_path / "vf.bin"), "--val-labels", str(tmp_path / "vy.csv"),
+         "--epochs", "2", "--out-labels", str(tmp_path / "pure.txt")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from labelpure.cli import dispatch\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    code = dispatch(args)\n"
+        "    print('loaded:', args[0], code, sorted(m for m in ('scipy', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded:")] == [
+        "loaded: synth 0 []", "loaded: corrupt 0 []", "loaded: retrain 0 []", "loaded: eval 0 []",
+        "loaded: purify 0 ['scipy']",
+    ]
+
+
 # ---------------------------------------------------------------- manifests & replay
 
 
@@ -330,6 +362,23 @@ def test_corrupt_asymmetric_with_map(tmp_path):
     ]) == 0
     out = load_hard_labels(tmp_path / "n.txt")
     assert np.all(out.values == 1)
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_corrupt_refuses_a_repeated_source_class(route, tmp_path, capsys):
+    (tmp_path / "y.txt").write_text("3\n5\n7\n" * 10)
+    args = [
+        "corrupt", "--labels", str(tmp_path / "y.txt"), "--kind", "asymmetric",
+        "--ratio", "0.5", "--out", str(tmp_path / "n.txt"),
+    ]
+    if route == "flag":
+        args += ["--map", "3:5,3:7"]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"version": 1, "map": "3:5,3:7"}))
+        args += ["--config", str(tmp_path / "c.json")]
+    assert dispatch(args) == 1
+    assert capsys.readouterr().err == "labelpure: error: class map gives source class 3 twice\n"
+    assert not (tmp_path / "n.txt").exists()
 
 
 def test_corrupt_asymmetric_default_map_needs_ten_classes(tmp_path):

@@ -368,6 +368,17 @@ def test_hard_labels_text_round_trip(tmp_path):
     assert back.n_classes == 3
 
 
+@pytest.mark.parametrize("values, text", [
+    ([0, 12, 3, 12, 10], b"0\n12\n3\n12\n10\n"),
+    ([7], b"7\n"),
+    ([], b""),
+])
+def test_hard_labels_text_bytes_are_pinned(values, text, tmp_path):
+    path = tmp_path / "y.txt"
+    write_hard_labels(HardLabels(np.array(values, dtype=np.int64), 13), path)
+    assert path.read_bytes() == text
+
+
 def test_hard_labels_text_declared_classes(tmp_path):
     path = tmp_path / "y.txt"
     path.write_text("0\n1\n")

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
+from labelpure import ipc
 from labelpure.data import CleanValidationSet, FeatureMatrix, HardLabels, log_softmax, one_hot, softmax
 from labelpure.errors import NumericError
 from labelpure.ipc import IpcConfig, ipc_step, loss_and_label_gradient
@@ -398,3 +403,37 @@ def test_ipc_config_validation():
         IpcConfig(gamma_ent=-0.5)
     with pytest.raises(ValueError):
         IpcConfig(val_batch=0)
+
+
+# ---------------------------------------------------------------- LAPACK loading
+
+
+@pytest.mark.parametrize("imports", [
+    "from labelpure import ipc\nimport scipy.linalg.lapack as lapack",
+    "import scipy.linalg.lapack as lapack\nfrom labelpure import ipc",
+])
+def test_lapack_routines_are_scipys_in_either_import_order(imports):
+    """ipc loads scipy's LAPACK extension without scipy.linalg; whichever of
+    the two loads first, both hold the same routines. This process loaded
+    scipy.linalg first, so each order runs in a fresh one."""
+    F = np.cos(np.arange(48.0)).reshape(8, 6)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        f"{imports}\n"
+        "print(ipc.dpotrf is lapack.dpotrf, ipc.dpotrs is lapack.dpotrs)\n"
+        "F = np.frombuffer(bytes.fromhex(sys.argv[1])).reshape(8, 6)\n"
+        "print(ipc._cholesky(F, 0.5).tobytes().hex())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, F.tobytes().hex()], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    same, factor = out.stdout.splitlines()
+    assert same == "True True"
+    assert factor == ipc._cholesky(F, 0.5).tobytes().hex()
+
+
+def test_missing_lapack_extension_raises_naming_it(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(ipc, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+    with pytest.raises(ImportError, match=r"^scipy's LAPACK extension scipy\.linalg\._flapack is missing$"):
+        ipc._load_flapack()
