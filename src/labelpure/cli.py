@@ -38,14 +38,15 @@ _REPLAY_HELP = "JSON config file or manifest to replay"
 # Keys that older config files and manifests carry, per command that wrote
 # them, each with the value every run used: Adam's constants in
 # ``labelpure.eac`` and switches the purify, retrain and corrupt code paths no
-# longer have. A key replays only at its value, and only for its command; None
-# means any value, as the key never reached the loop.
+# longer have. A key replays only at its value, and only for its command;
+# _ANY means any value, as the key never reached the loop.
+_ANY = object()
 _RETIRED_KEYS = {
     "purify": {
-        "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": None,
+        "purifier.eac.beta1": 0.9, "purifier.eac.beta2": 0.999, "purifier.eac.eps": 1e-8, "purifier.eac.seed": _ANY,
         "purifier.normalize_features": False, "purifier.add_bias_feature": False, "purifier.init_scale": 1.0,
         "purifier.eac_steps_per_iter": 1, "purifier.ipc.normalize_gram": False, "purifier.eac.hard_targets": False,
-        "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit",
+        "purifier.eac.use_bias": True, "purifier.eac.blend_space": "logit", "purifier.ipc.val_batch": None,
     },
     "retrain": {"train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8, "train.weight_decay": 0.0},
     "corrupt": {"exact_count": False},
@@ -76,7 +77,6 @@ class _Command(NamedTuple):
     func: Callable[[dict], tuple]
     help: str
     options: tuple[_Opt, ...]
-    config_help: str | None = None
     replay: bool = True
     trees: Callable[[], dict] | None = None
 
@@ -163,7 +163,7 @@ def _load_config_file(path: str | Path, command: str) -> dict:
         # The type must match too: a bool key refuses 0 and an int key 1.0, while
         # a float key takes an int, as JSON may write 1.0 as 1.
         kinds = (float, int) if type(ran_with) is float else (type(ran_with),)
-        if ran_with is not None and not (type(value) in kinds and value == ran_with):
+        if ran_with is not _ANY and not (type(value) in kinds and value == ran_with):
             raise ValueError(
                 f"{path}: {dotted} = {json.dumps(value)} is no longer configurable (every run used {json.dumps(ran_with)})"
             )
@@ -330,7 +330,6 @@ _PURIFY_OPTIONS = (
     _Opt("--ipc-gamma-ent", "purifier.ipc.gamma_ent", float),
     _Opt("--eac-gamma-ent", "purifier.eac.gamma_ent", float),
     _Opt("--eac-lr", "purifier.eac.lr", float),
-    _Opt("--val-batch", "purifier.ipc.val_batch", int),
     _Opt("--ipc", "purifier.use_ipc", bool, "enable the ridge corrector"),
     _Opt("--eac", "purifier.use_eac", bool, "enable the classifier corrector"),
     _Opt("--threads", "threads", help="BLAS thread count (set before numpy loads)"),
@@ -486,11 +485,10 @@ def _cmd_report(cfg: dict) -> tuple:
 
 
 _COMMANDS = {
-    "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS, _REPLAY_HELP),
+    "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS),
     "corrupt": _Command(_cmd_corrupt, "inject label noise into a labels file", _CORRUPT_OPTIONS),
     "purify": _Command(
-        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, _REPLAY_HELP,
-        trees=_purifier_tree,
+        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, trees=_purifier_tree
     ),
     "retrain": _Command(_cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, trees=_train_tree),
     "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS),
@@ -505,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         if cmd.replay:
-            p.add_argument("--config", help=cmd.config_help)
+            p.add_argument("--config", help=_REPLAY_HELP)
         for opt in cmd.options:
             if opt.type is bool:
                 kind = {"action": argparse.BooleanOptionalAction, "default": None}

@@ -61,7 +61,7 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class HardLabels:
-    """Length-N sequence of class indices in [0, n_classes)."""
+    """Length-N sequence (N >= 1) of class indices in [0, n_classes)."""
 
     values: np.ndarray
     n_classes: int
@@ -72,11 +72,11 @@ class HardLabels:
             v = np.array(raw, dtype=np.int64)
         if raw.dtype != v.dtype and not np.array_equal(v, raw):
             raise ValueError(f"labels must be whole class indices; casting {raw.dtype} to int64 changed some")
-        if v.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {np.shape(self.values)}")
+        if v.ndim != 1 or v.size < 1:
+            raise ValueError(f"labels must be a non-empty 1-D array, got shape {np.shape(self.values)}")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
-        if v.size and (v.min() < 0 or v.max() >= self.n_classes):
+        if v.min() < 0 or v.max() >= self.n_classes:
             raise ValueError(
                 f"label indices must lie in [0, {self.n_classes}), "
                 f"got range [{v.min()}, {v.max()}]"
@@ -90,14 +90,14 @@ class HardLabels:
 
 @dataclass(frozen=True)
 class LabelLogits:
-    """N x c real matrix of label logits; soft labels are softmax(alpha * values)."""
+    """N x c real matrix (N, c >= 1) of label logits; soft labels are softmax(alpha * values)."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] < 1:
-            raise ValueError(f"logits must be a 2-D matrix, got shape {np.shape(self.values)}")
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
+            raise ValueError(f"logits must be a non-empty 2-D matrix, got shape {np.shape(self.values)}")
         if not np.all(np.isfinite(v)):
             raise ValueError("logits contain non-finite entries")
         v.setflags(write=False)

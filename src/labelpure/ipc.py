@@ -56,17 +56,12 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 @dataclass(frozen=True)
 class IpcConfig:
-    """Hyperparameters of the ridge-based corrector.
-
-    ``val_batch`` optionally subsamples the validation set per step (the
-    purification loop draws the subsets); None means the full set.
-    """
+    """Hyperparameters of the ridge-based corrector."""
 
     alpha: float = 1.0
     lam: float = 1.0
     eta: float = 0.01
     gamma_ent: float = 1.0
-    val_batch: int | None = None
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
@@ -77,8 +72,6 @@ class IpcConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.gamma_ent < 0:
             raise ValueError(f"gamma_ent must be nonnegative, got {self.gamma_ent}")
-        if self.val_batch is not None and self.val_batch < 1:
-            raise ValueError(f"val_batch must be >= 1, got {self.val_batch}")
 
 
 def _cholesky(F_t: np.ndarray, lam: float, dual: bool = False) -> np.ndarray:

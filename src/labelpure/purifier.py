@@ -89,8 +89,6 @@ def purify(
     state = TrainState(features.dim, c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
-    n_v = F_v.shape[0]
-    sub_val = cfg.ipc.val_batch is not None and cfg.ipc.val_batch < n_v
 
     # Hard labels and their count of correct rows for the truth accuracy, kept
     # in step with Y: a ridge step changes only the batch rows, a replacement
@@ -111,12 +109,7 @@ def purify(
             val_loss = grad_norm = None
             try:
                 if cfg.use_ipc:
-                    if sub_val:
-                        pick = rng.choice(n_v, size=cfg.ipc.val_batch, replace=False)
-                        fv, yv = F_v[pick], Y_v[pick]
-                    else:
-                        fv, yv = F_v, Y_v
-                    val_loss, grad = loss_and_label_gradient(f, y, fv, yv, cfg.ipc)
+                    val_loss, grad = loss_and_label_gradient(f, y, F_v, Y_v, cfg.ipc)
                     grad_norm = float(np.linalg.norm(grad))
                     Y[idx] = y = ipc_step(y, grad, cfg.ipc.eta)
                     if truth is not None:

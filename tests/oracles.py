@@ -348,8 +348,8 @@ def reference_purify(
 ) -> np.ndarray:
     """Final label logits of the purify loop, computed sequentially: explicit
     primal hypergradient, row-major softmax, functional Adam step. Covers the
-    full validation set with both processes on."""
-    assert cfg.ipc.val_batch is None and cfg.use_ipc and cfg.use_eac
+    loop with both processes on."""
+    assert cfg.use_ipc and cfg.use_eac
     F_t, n, c = features.values, features.n, noisy.n_classes
     alpha, ecfg = cfg.ipc.alpha, cfg.eac
     Y = one_hot(noisy)

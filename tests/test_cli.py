@@ -12,7 +12,7 @@ import pytest
 
 from labelpure import eac
 from labelpure.cli import (
-    _COMMANDS, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
+    _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
 )
 from labelpure.data import load_features, load_hard_labels
 from labelpure.evaluate import load_classifier
@@ -479,7 +479,7 @@ _OPTION_STRINGS = {
     "corrupt": "--config --labels --kind --ratio --map --seed --classes --out --manifest",
     "purify": """--config --features --labels --val-features --val-labels --truth --out-labels --out-logits
         --report --alpha --lambda --eta-i --eta-e --period --batch --epochs --seed --ipc-gamma-ent
-        --eac-gamma-ent --eac-lr --val-batch --ipc --no-ipc --eac --no-eac --threads --manifest""",
+        --eac-gamma-ent --eac-lr --ipc --no-ipc --eac --no-eac --threads --manifest""",
     "retrain": """--config --features --labels --soft-logits --alpha --epochs --batch --lr --seed
         --out-model --threads --manifest""",
     "eval": "--config --model --features --labels --out-json --threads --manifest",
@@ -487,13 +487,22 @@ _OPTION_STRINGS = {
 }
 
 
+def _subparsers():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_option_strings_are_pinned():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     got = {
         name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
-        for name, p in sub.choices.items()
+        for name, p in _subparsers().items()
     }
     assert got == {name: set(text.split()) for name, text in _OPTION_STRINGS.items()}
+
+
+def test_every_replayable_command_has_the_same_config_help():
+    for name, p in _subparsers().items():
+        helps = [action.help for action in p._actions if "--config" in action.option_strings]
+        assert helps == ([_REPLAY_HELP] if _COMMANDS[name].replay else []), name
 
 
 def _lookup(tree, dotted):
@@ -614,7 +623,7 @@ def test_seed_format_manifest_replays_bitwise(tmp_path, monkeypatch):
     purifier = expected["purifier"]
     for tree, retired in [
         (purifier["eac"], ("beta1", "beta2", "eps", "seed", "blend_space", "hard_targets", "use_bias")),
-        (purifier["ipc"], ("normalize_gram",)),
+        (purifier["ipc"], ("normalize_gram", "val_batch")),
         (purifier, ("init_scale", "normalize_features", "add_bias_feature", "eac_steps_per_iter")),
     ]:
         for key in retired:
@@ -716,6 +725,7 @@ def test_legacy_eac_seed_replays_bitwise(tmp_path, monkeypatch):
 # Each retired config key: the values that replay, which are the one every run
 # used (Adam's from the library's constants, the switches' at their old
 # defaults), and values refused. The seed never reached the loop: any value.
+# Validation subsampling replays only off, at null.
 _RETIRED = {
     "purifier.eac.beta1": ([eac._BETA1], [eac._BETA1 * 1.5]),
     "purifier.eac.beta2": ([eac._BETA2], [eac._BETA2 * 1.5]),
@@ -732,6 +742,7 @@ _RETIRED = {
     "purifier.eac.hard_targets": ([False], [True, 0]),
     "purifier.eac.use_bias": ([True], [False, 1]),
     "purifier.eac.blend_space": (["logit"], ["probability"]),
+    "purifier.ipc.val_batch": ([None], [4, 0, "x"]),
     "train.weight_decay": ([0.0, 0], [0.01, True, "0.0", None]),
     "exact_count": ([False], [True, 0, None]),
 }
@@ -834,7 +845,7 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     ({"purifier": {"epochs": None}}, "purifier.epochs must be int, got null"),
     ({"purifier": {"epochs": True}}, "purifier.epochs must be int, got true"),
     ({"purifier": {"use_ipc": 1}}, "purifier.use_ipc must be bool, got 1"),
-    ({"purifier": {"ipc": {"val_batch": 2.5}}}, "purifier.ipc.val_batch must be int, got 2.5"),
+    ({"purifier": {"eac": {"period": 2.5}}}, "purifier.eac.period must be int, got 2.5"),
     ({"features": 5}, "features must be str, got 5"),
 ])
 def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path, capsys):
@@ -855,7 +866,7 @@ def test_config_takes_ints_for_float_keys_and_null_for_unset_keys(tmp_path):
         "--val-features", str(tmp_path / "vf.bin"), "--val-labels", str(tmp_path / "vy.csv"),
         "--epochs", "2", "--manifest", str(tmp_path / "m.json"),
     ]
-    config = {"purifier": {"ipc": {"lam": 2, "val_batch": None}}, "out_logits": None}
+    config = {"purifier": {"ipc": {"lam": 2}}, "out_logits": None}
     (tmp_path / "c.json").write_text(json.dumps(config))
     config_flags = ["--config", str(tmp_path / "c.json")]
     assert dispatch(["purify", *flags, "--out-labels", str(tmp_path / "a.txt"), *config_flags]) == 0

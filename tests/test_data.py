@@ -371,12 +371,24 @@ def test_hard_labels_text_round_trip(tmp_path):
 @pytest.mark.parametrize("values, text", [
     ([0, 12, 3, 12, 10], b"0\n12\n3\n12\n10\n"),
     ([7], b"7\n"),
-    ([], b""),
 ])
 def test_hard_labels_text_bytes_are_pinned(values, text, tmp_path):
     path = tmp_path / "y.txt"
     write_hard_labels(HardLabels(np.array(values, dtype=np.int64), 13), path)
     assert path.read_bytes() == text
+
+
+# The text format cannot hold zero labels (an empty file reads as "no labels"),
+# so neither label type holds zero rows, as FeatureMatrix does not.
+def test_zero_length_labels_and_logits_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="non-empty"):
+        HardLabels(np.array([], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        LabelLogits(np.zeros((0, 3)))
+    path = tmp_path / "y.txt"
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match="no labels"):
+        load_hard_labels(path, n_classes=3)
 
 
 def test_hard_labels_text_declared_classes(tmp_path):

@@ -401,8 +401,6 @@ def test_ipc_config_validation():
         IpcConfig(eta=0.0)
     with pytest.raises(ValueError):
         IpcConfig(gamma_ent=-0.5)
-    with pytest.raises(ValueError):
-        IpcConfig(val_batch=0)
 
 
 # ---------------------------------------------------------------- LAPACK loading

@@ -186,14 +186,6 @@ def test_validation_set_is_read_only_but_influences_result():
     assert not np.array_equal(logits_a.values, logits_b.values)
 
 
-def test_val_batch_subsampling_is_deterministic():
-    features, _, noisy, val = _small_problem(n_val=16)
-    cfg = _quick_config(ipc=IpcConfig(val_batch=4))
-    logits_a, _, _ = purify(features, noisy, val, cfg)
-    logits_b, _, _ = purify(features, noisy, val, cfg)
-    assert np.array_equal(logits_a.values, logits_b.values)
-
-
 # ---------------------------------------------------------------- variants
 
 
