@@ -274,23 +274,28 @@ def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
 def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabels:
     """Read a text label file; class count defaults to max index + 1."""
     path = Path(path)
-    values: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    try:
+        values = list(map(int, filter(None, map(str.strip, lines))))
+    except ValueError:
+        values = None
+    if values is None or (values and min(values) < 0):  # find the first bad line
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                values.append(int(line))
+                value = int(line)
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: not a class index: {line!r}") from None
-            if values[-1] < 0:
-                raise FormatError(f"{path}: line {lineno}: negative class index {values[-1]}")
+            if value < 0:
+                raise FormatError(f"{path}: line {lineno}: negative class index {value}")
     if not values:
         raise FormatError(f"{path}: no labels")
-    c = max(values) + 1 if n_classes is None else n_classes
-    if max(values) >= c:
-        raise FormatError(f"{path}: label {max(values)} outside declared {c} classes")
+    top = max(values)
+    c = top + 1 if n_classes is None else n_classes
+    if top >= c:
+        raise FormatError(f"{path}: label {top} outside declared {c} classes")
     return HardLabels(np.asarray(values, dtype=np.int64), c)
 
 

@@ -95,12 +95,21 @@ class TrainState:
 
 
 def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.ndarray:
-    """Class logits for each feature row."""
+    """Class logits for each feature row, as a C-contiguous n x c array.
+
+    The product is formed class-major, ``weights.T @ F.T`` (c x n): on
+    splits of thousands of rows OpenBLAS's SkylakeX kernel runs it faster
+    than ``F @ weights``, to the same bits, and other kernels about as fast.
+    The copy back to row-major keeps callers' argmaxes and row gathers off a
+    strided array.
+    """
     F = np.asarray(F, dtype=np.float64)
     dim = clf.weights.shape[0]
     if F.ndim != 2 or F.shape[1] != dim:
         raise ValueError(f"feature dim {F.shape[-1]} does not match classifier dim {dim}")
-    return F @ clf.weights + clf.bias
+    logits = clf.weights.T @ F.T
+    logits += clf.bias[:, None]
+    return np.ascontiguousarray(logits.T)
 
 
 def check_targets(targets: np.ndarray) -> None:

@@ -7,8 +7,10 @@ report (``labelpure report``) loads neither numpy nor scipy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+
+from .errors import FormatError
 
 REPORT_SCHEMA = 1
 
@@ -48,19 +50,33 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> CorrectionReport:
-    """Read a report written by save_report."""
+    """Read a report written by save_report. A line that is not a record or
+    the summary raises FormatError naming the file and the line."""
+    names = [f.name for f in fields(IterationRecord)]
+    required = [f.name for f in fields(IterationRecord) if f.default is MISSING]
     records: list[IterationRecord] = []
     summary: dict | None = None
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:  # a run killed mid-write leaves a cut line
+                raise FormatError(f"{path}: line {lineno}: {exc.msg}: column {exc.colno}") from None
+            if not isinstance(row, dict):
+                raise FormatError(f"{path}: line {lineno}: a record must be a JSON object, got {type(row).__name__}")
             if "summary" in row:
                 summary = row["summary"]
-            else:
-                records.append(IterationRecord(**row))
+                continue
+            unknown = [key for key in row if key not in names]
+            if unknown:
+                raise FormatError(f"{path}: line {lineno}: unknown record field(s) {', '.join(unknown)}")
+            missing = [key for key in required if key not in row]
+            if missing:
+                raise FormatError(f"{path}: line {lineno}: missing record field(s) {', '.join(missing)}")
+            records.append(IterationRecord(**row))
     if summary is None:
-        raise ValueError(f"{path}: missing summary line")
+        raise FormatError(f"{path}: missing summary line")
     return CorrectionReport(records=records, summary=summary)

@@ -195,6 +195,23 @@ def test_report_files_are_pinned_bytes(tmp_path):
     )
 
 
+_RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update": true}'
+
+
+@pytest.mark.parametrize("line, message", [
+    (_RECORD[:28], "line 2: Unterminated string starting at: column 22"),
+    (_RECORD[:-1] + ', "extra": 1}', "line 2: unknown record field(s) extra"),
+    ("[1, 2]", "line 2: a record must be a JSON object, got list"),
+    ('{"p": 2}', "line 2: missing record field(s) epoch, val_loss, grad_norm, eac_update"),
+], ids=["cut-mid-line", "extra-key", "list-row", "missing-fields"])
+def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
+    path = tmp_path / "rep.jsonl"
+    path.write_text(f"{_RECORD}\n{line}\n")
+    assert dispatch(["report", "--in", str(path), "--csv", str(tmp_path / "rep.csv")]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
+    assert not (tmp_path / "rep.csv").exists()
+
+
 def test_report_command_loads_neither_numpy_nor_scipy(tmp_path):
     report = CorrectionReport([IterationRecord(p=1, epoch=0, val_loss=0.5, grad_norm=1.0, eac_update=False)], {})
     save_report(report, tmp_path / "rep.jsonl")

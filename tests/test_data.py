@@ -359,6 +359,28 @@ def test_csv_loaders_error_messages(tmp_path, loader, text, message):
         loader(path)
 
 
+# load_hard_labels parses the whole text in one pass and falls back to a line
+# loop only to name a bad line. Both must read the same lines the same way:
+# the one-pass values, and the loop's line number of a bad label appended after
+# them, which it reaches only by accepting every line before it.
+@pytest.mark.parametrize("text, values", [
+    ("3\r\n1\r\n", [3, 1]),
+    ("\n2\n\n\n0\n", [2, 0]),
+    ("  4 \n\t1\t\n", [4, 1]),
+    ("+3\n0\n", [3, 0]),
+    ("1\r2\r", [1, 2]),
+])
+@pytest.mark.parametrize("bad, message", [("x", "not a class index: 'x'"), ("-1", "negative class index -1")])
+def test_hard_labels_one_pass_and_line_loop_read_alike(tmp_path, text, values, bad, message):
+    path = tmp_path / "y.txt"
+    path.write_bytes(text.encode())
+    assert load_hard_labels(path).values.tolist() == values
+    path.write_bytes((text + bad + "\n").encode())
+    lineno = len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: line {lineno}: {message}") + "$"):
+        load_hard_labels(path)
+
+
 def test_hard_labels_text_round_trip(tmp_path):
     labels = HardLabels(np.array([0, 2, 1, 2]), 3)
     path = tmp_path / "y.txt"

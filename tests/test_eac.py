@@ -39,6 +39,31 @@ def test_forward_matches_naive_loop():
     assert np.abs(classifier_forward(clf, F) - naive_forward(clf, F)).max() < 1e-12
 
 
+def test_forward_returns_c_contiguous_float64_rows():
+    """Callers gather rows and take row-wise argmaxes of the logits."""
+    rng = np.random.default_rng(4)
+    w, b = rng.normal(size=(6, 3)), rng.normal(size=3)
+    state = TrainState(6, 3)
+    state.weights[:], state.bias[:] = w, b
+    F = rng.normal(size=(9, 6))
+    for clf in (LinearClassifier(w, b), state):
+        out = classifier_forward(clf, F)
+        assert out.shape == (9, 3) and out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, classifier_forward(LinearClassifier(w, b), F))
+
+
+# The class-major product runs in another GEMM kernel order than F @ W, so it
+# is held to a float64 tolerance; the argmax every caller takes must not move.
+@pytest.mark.parametrize("n, d, c", [(2000, 32, 5), (5000, 128, 10), (5000, 512, 10)])
+def test_forward_matches_row_major_product_at_split_shapes(n, d, c):
+    rng = np.random.default_rng(n + d + c)
+    clf = LinearClassifier(rng.normal(size=(d, c)), rng.normal(size=c))
+    F = rng.normal(size=(n, d))
+    out, ref = classifier_forward(clf, F), F @ clf.weights + clf.bias
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(np.argmax(out, axis=1), np.argmax(ref, axis=1))
+
+
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
         classifier_forward(LinearClassifier(np.zeros((3, 2)), np.zeros(2)), np.ones((2, 4)))

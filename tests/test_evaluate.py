@@ -143,6 +143,17 @@ def test_evaluate_equals_label_accuracy_of_predictions():
     assert evaluate_classifier(clf, features, labels) == label_accuracy(preds, labels)
 
 
+def test_evaluate_equals_row_major_recount():
+    """The benchmark recounts eval accuracy from F @ W + b; at a held-out split
+    shape the class-major forward must give exactly that fraction."""
+    rng = np.random.default_rng(17)
+    features = FeatureMatrix(rng.normal(size=(5000, 512)))
+    labels = HardLabels(rng.integers(0, 10, size=5000), 10)
+    clf = LinearClassifier(rng.normal(size=(512, 10)), rng.normal(size=10))
+    pred = np.argmax(features.values @ clf.weights + clf.bias, axis=1)
+    assert evaluate_classifier(clf, features, labels) == float(np.mean(pred == labels.values))
+
+
 def test_evaluate_size_mismatch():
     with pytest.raises(ValueError):
         evaluate_classifier(

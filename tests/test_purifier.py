@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
@@ -10,6 +13,7 @@ from labelpure.data import (
 )
 from labelpure import purifier
 from labelpure.eac import EacConfig, eac_label_update
+from labelpure.errors import FormatError
 from labelpure.ipc import IpcConfig, ipc_step
 from labelpure.noise import (
     MixtureSpec,
@@ -160,6 +164,14 @@ def test_purify_matches_the_sequential_reference(c, d, eac):
     assert np.array_equal(purified.values, np.argmax(ref, axis=1))
     assert np.abs(logits.values - ref).max() < 1e-12
     assert not np.array_equal(purified.values, noisy.values)
+
+
+def test_reference_purify_forms_its_own_forward():
+    """The reference stays sequential and row-major: its replacement is
+    F_t @ W + b, not the library's class-major classifier_forward."""
+    source = inspect.getsource(reference_purify)
+    assert "F_t @ clf.weights + clf.bias" in source
+    assert "classifier_forward" not in source
 
 
 def test_purify_is_deterministic():
@@ -320,7 +332,7 @@ def test_empty_report_is_summary_only(tmp_path):
 def test_report_missing_summary_rejected(tmp_path):
     path = tmp_path / "report.jsonl"
     path.write_text('{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update": false}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: missing summary line") + "$"):
         load_report(path)
 
 
