@@ -362,7 +362,7 @@ def _cmd_purify(cfg: dict) -> tuple:
     data.write_hard_labels(purified, cfg["out_labels"])
     outputs = {"labels": cfg["out_labels"]}
     if cfg["out_logits"]:
-        data.write_features(data.FeatureMatrix(logits.values), cfg["out_logits"])
+        data.write_features(logits, cfg["out_logits"])
         outputs["logits"] = cfg["out_logits"]
     if cfg["report"]:
         save_report(rep, cfg["report"])

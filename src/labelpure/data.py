@@ -1,8 +1,5 @@
-"""Core tensors, label representations, and logit/soft/hard label conversions.
-
-Labels being purified live in unconstrained logit space (an N x c real
-matrix); the soft labels any consumer sees are always the row-softmax of
-``alpha * logits``, and hard labels are the row argmax.
+"""Core tensors and label representations, their file formats, and the row
+softmax that turns an N x c matrix of label logits into soft labels.
 """
 
 from __future__ import annotations
@@ -24,10 +21,14 @@ _HEADER = struct.Struct("<8sIQI")  # magic, version, rows (u64), dim (u32)
 # at a time, so no temporary grows with the matrix (256 KiB of f32).
 _CHUNK_VALUES = 1 << 16
 
+# Largest class index a label file may hold: labels are int64 arrays.
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """N x d matrix of frozen per-sample embeddings (rows are samples).
+    """N x d matrix of frozen per-sample embeddings (rows are samples); also
+    the N x c label logits that ``purify`` returns.
 
     A C-contiguous float64 input is not copied: ``values`` is a read-only
     view of it, so the caller must not write to that array afterwards. Any
@@ -89,30 +90,6 @@ class HardLabels:
 
 
 @dataclass(frozen=True)
-class LabelLogits:
-    """N x c real matrix (N, c >= 1) of label logits; soft labels are softmax(alpha * values)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"logits must be a non-empty 2-D matrix, got shape {np.shape(self.values)}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("logits contain non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class CleanValidationSet:
     """Trusted validation samples: features paired with exact one-hot labels."""
 
@@ -132,10 +109,6 @@ class CleanValidationSet:
             raise ValueError("validation labels must be exact one-hot rows")
         lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self) -> int:
-        return self.features.n
 
     @property
     def n_classes(self) -> int:
@@ -179,17 +152,11 @@ def one_hot(labels: HardLabels) -> np.ndarray:
     return np.eye(labels.n_classes, dtype=np.float64)[labels.values]
 
 
-def effective_labels(logits: LabelLogits | np.ndarray, alpha: float) -> np.ndarray:
+def effective_labels(logits: np.ndarray, alpha: float) -> np.ndarray:
     """Soft labels softmax(alpha * logits), one probability row per sample."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    values = logits.values if isinstance(logits, LabelLogits) else np.asarray(logits)
-    return softmax(alpha * values)
-
-
-def hard_labels(logits: LabelLogits) -> HardLabels:
-    """Row argmax of the logits; ties break to the lowest class index."""
-    return HardLabels(np.argmax(logits.values, axis=1), logits.n_classes)
+    return softmax(alpha * np.asarray(logits))
 
 
 def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -279,7 +246,7 @@ def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabe
         values = list(map(int, filter(None, map(str.strip, lines))))
     except ValueError:
         values = None
-    if values is None or (values and min(values) < 0):  # find the first bad line
+    if values is None or (values and (min(values) < 0 or max(values) > _MAX_INDEX)):  # find the first bad line
         for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
@@ -290,6 +257,8 @@ def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabe
                 raise FormatError(f"{path}: line {lineno}: not a class index: {line!r}") from None
             if value < 0:
                 raise FormatError(f"{path}: line {lineno}: negative class index {value}")
+            if value > _MAX_INDEX:
+                raise FormatError(f"{path}: line {lineno}: class index {value} does not fit in int64")
     if not values:
         raise FormatError(f"{path}: no labels")
     top = max(values)

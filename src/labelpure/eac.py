@@ -37,10 +37,6 @@ class LinearClassifier:
         object.__setattr__(self, "bias", b)
 
     @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.weights.shape[1]
 

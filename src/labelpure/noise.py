@@ -1,4 +1,4 @@
-"""Synthetic feature generation, label-noise injection, and label agreement.
+"""Synthetic feature generation and label-noise injection.
 
 All randomness flows through numpy's seeded Generator (PCG64); every
 operation here is a pure function of its arguments and seed.
@@ -192,9 +192,3 @@ def inject_asymmetric(labels: HardLabels, ratio: float, class_map: dict[int, int
     flip = (rng.random(len(labels)) < ratio) & eligible
     return HardLabels(np.where(flip, target[labels.values], labels.values), c)
 
-
-def label_accuracy(a: HardLabels, b: HardLabels) -> float:
-    """Fraction of positions where the two label sequences agree."""
-    if len(a) != len(b):
-        raise ValueError(f"label length mismatch: {len(a)} vs {len(b)}")
-    return float(np.mean(a.values == b.values))

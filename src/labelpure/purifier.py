@@ -11,19 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .data import (
-    CleanValidationSet,
-    FeatureMatrix,
-    HardLabels,
-    LabelLogits,
-    hard_labels,
-    one_hot,
-    softmax,
-)
+from .data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax
 from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step
 from .errors import NumericError
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
-from .noise import label_accuracy
 
 # The CLI and traced benchmark runs look save_report up on this module.
 from .report import REPORT_SCHEMA, CorrectionReport, IterationRecord, save_report  # noqa: F401
@@ -57,11 +48,13 @@ def purify(
     val: CleanValidationSet,
     cfg: PurifierConfig,
     truth: HardLabels | None = None,
-) -> tuple[LabelLogits, HardLabels, CorrectionReport]:
+) -> tuple[FeatureMatrix, HardLabels, CorrectionReport]:
     """Run the correction loop and return purified logits, hard labels, and report.
 
-    ``truth``, when given, adds label accuracy to the report; it never
-    influences the updates.
+    The logits are an N x c ``FeatureMatrix``, a read-only view of the loop's
+    final label logits; the hard labels are their row argmax (ties break to
+    the lowest class index). ``truth``, when given, adds label accuracy to
+    the report; it never influences the updates.
 
     Per epoch the training indices are shuffled (seeded) and split into
     batches. Per batch: one hypergradient step on that batch's logit rows,
@@ -90,12 +83,12 @@ def purify(
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
 
-    # Hard labels and their count of correct rows for the truth accuracy, kept
-    # in step with Y: a ridge step changes only the batch rows, a replacement
-    # all of them.
+    # Hard labels and their count of correct rows for the truth accuracy of
+    # each record and of the summary, kept in step with Y: a ridge step changes
+    # only the batch rows, a replacement all of them.
     if truth is not None:
         pred = np.argmax(Y, axis=1)
-        correct = int(np.count_nonzero(pred == truth.values))
+        correct = initial_correct = int(np.count_nonzero(pred == truth.values))
 
     records: list[IterationRecord] = []
     start = time.perf_counter()
@@ -134,8 +127,6 @@ def purify(
                 )
             )
 
-    logits = LabelLogits(Y)
-    purified = hard_labels(logits)
     summary = {
         "schema": REPORT_SCHEMA,
         "iterations": p,
@@ -144,6 +135,6 @@ def purify(
         "wall_time_s": time.perf_counter() - start,
     }
     if truth is not None:
-        summary["initial_accuracy"] = label_accuracy(noisy, truth)
-        summary["final_accuracy"] = label_accuracy(purified, truth)
-    return logits, purified, CorrectionReport(records=records, summary=summary)
+        summary["initial_accuracy"] = initial_correct / n
+        summary["final_accuracy"] = correct / n
+    return FeatureMatrix(Y), HardLabels(np.argmax(Y, axis=1), c), CorrectionReport(records=records, summary=summary)

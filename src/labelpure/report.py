@@ -14,6 +14,13 @@ from .errors import FormatError
 
 REPORT_SCHEMA = 1
 
+# A record field's JSON types by its annotation, matched exactly: true is no integer.
+_JSON_KINDS = {
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "true or false"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+}
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -50,9 +57,10 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> CorrectionReport:
-    """Read a report written by save_report. A line that is not a record or
-    the summary raises FormatError naming the file and the line."""
-    names = [f.name for f in fields(IterationRecord)]
+    """Read a report written by save_report; blank lines are skipped. A line
+    that is not a record with fields of their types, or a summary object,
+    raises FormatError naming the file and the line."""
+    kinds = {f.name: _JSON_KINDS[f.type] for f in fields(IterationRecord)}
     required = [f.name for f in fields(IterationRecord) if f.default is MISSING]
     records: list[IterationRecord] = []
     summary: dict | None = None
@@ -69,13 +77,19 @@ def load_report(path: str | Path) -> CorrectionReport:
                 raise FormatError(f"{path}: line {lineno}: a record must be a JSON object, got {type(row).__name__}")
             if "summary" in row:
                 summary = row["summary"]
+                if not isinstance(summary, dict):
+                    raise FormatError(f"{path}: line {lineno}: the summary must be a JSON object, got {type(summary).__name__}")
                 continue
-            unknown = [key for key in row if key not in names]
+            unknown = [key for key in row if key not in kinds]
             if unknown:
                 raise FormatError(f"{path}: line {lineno}: unknown record field(s) {', '.join(unknown)}")
             missing = [key for key in required if key not in row]
             if missing:
                 raise FormatError(f"{path}: line {lineno}: missing record field(s) {', '.join(missing)}")
+            for key, value in row.items():
+                types, what = kinds[key]
+                if type(value) not in types:
+                    raise FormatError(f"{path}: line {lineno}: {key} must be {what}, got {json.dumps(value)}")
             records.append(IterationRecord(**row))
     if summary is None:
         raise FormatError(f"{path}: missing summary line")

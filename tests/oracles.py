@@ -9,7 +9,8 @@ the reference mixture generator concatenates per-class blocks.
 
 The first section holds the decomposed forms the oracles are compared
 through: the ridge fit, its predictions and the validation loss, the
-classifier loss and its gradients, and a linear probe. The ridge fit factors
+classifier loss and its gradients, a linear probe, and the label agreement
+that scores labels against ground truth. The ridge fit factors
 and solves with the library's ``ipc._cholesky``/``_solve``, and the classifier
 gradients come from ``eac._logit_gradient``, the one ``eac_train_step`` uses,
 so checking these against the oracles checks those library paths too.
@@ -141,6 +142,13 @@ def linear_probe(
     ordered_y = HardLabels(clean_labels_subset.values[order], clean_labels_subset.n_classes)
     clf = train_linear_ce(ordered_f, ordered_y, cfg)
     return evaluate_classifier(clf, test_features, y_test)
+
+
+def label_accuracy(a: HardLabels, b: HardLabels) -> float:
+    """Fraction of positions where the two label sequences agree."""
+    if len(a) != len(b):
+        raise ValueError(f"label length mismatch: {len(a)} vs {len(b)}")
+    return float(np.mean(a.values == b.values))
 
 
 # ---------------------------------------------------------------- oracles

@@ -16,13 +16,14 @@ from labelpure.data import CleanValidationSet, HardLabels, one_hot, softmax
 from labelpure.eac import EacConfig, LinearClassifier, eac_label_update
 from labelpure.evaluate import TrainConfig, evaluate_classifier, train_linear_ce
 from labelpure.ipc import IpcConfig, loss_and_label_gradient
-from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_asymmetric, inject_symmetric, label_accuracy
+from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_asymmetric, inject_symmetric
 from labelpure.purifier import PurifierConfig, purify
 
 from oracles import (
     eac_gradients,
     fd_classifier_gradients,
     fd_label_gradient,
+    label_accuracy,
     linear_probe,
     relative_errors,
     ridge_descent_minimizer,

@@ -203,7 +203,18 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     (_RECORD[:-1] + ', "extra": 1}', "line 2: unknown record field(s) extra"),
     ("[1, 2]", "line 2: a record must be a JSON object, got list"),
     ('{"p": 2}', "line 2: missing record field(s) epoch, val_loss, grad_norm, eac_update"),
-], ids=["cut-mid-line", "extra-key", "list-row", "missing-fields"])
+    ('{"p": "x", "epoch": [], "val_loss": "a", "grad_norm": null, "eac_update": 7}', 'line 2: p must be an integer, got "x"'),
+    ('{"p": true, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update": true}', "line 2: p must be an integer, got true"),
+    ('{"p": 2, "epoch": 1.0, "val_loss": null, "grad_norm": null, "eac_update": true}', "line 2: epoch must be an integer, got 1.0"),
+    ('{"p": 2, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update": 7}', "line 2: eac_update must be true or false, got 7"),
+    ('{"p": 2, "epoch": 0, "val_loss": "a", "grad_norm": null, "eac_update": true}', 'line 2: val_loss must be a number or null, got "a"'),
+    ('{"p": 2, "epoch": 0, "val_loss": null, "grad_norm": [1], "eac_update": true}', "line 2: grad_norm must be a number or null, got [1]"),
+    ('{"p": 2, "epoch": 0, "val_loss": 1, "grad_norm": 0.5, "eac_update": true, "acc": false}', "line 2: acc must be a number or null, got false"),
+    ('{"summary": 5}', "line 2: the summary must be a JSON object, got int"),
+], ids=[
+    "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
+    "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary",
+])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"
     path.write_text(f"{_RECORD}\n{line}\n")
@@ -395,6 +406,20 @@ def test_corrupt_refuses_a_repeated_source_class(route, tmp_path, capsys):
         args += ["--config", str(tmp_path / "c.json")]
     assert dispatch(args) == 1
     assert capsys.readouterr().err == "labelpure: error: class map gives source class 3 twice\n"
+    assert not (tmp_path / "n.txt").exists()
+
+
+@pytest.mark.parametrize("class_map, message", [
+    ("0-1", "bad class map entry '0-1', expected 'src:dst'"),
+    (",", "empty class map"),
+])
+def test_corrupt_refuses_a_malformed_class_map(class_map, message, tmp_path, capsys):
+    (tmp_path / "y.txt").write_text("0\n1\n" * 10)
+    assert dispatch([
+        "corrupt", "--labels", str(tmp_path / "y.txt"), "--kind", "asymmetric",
+        "--ratio", "0.5", "--map", class_map, "--out", str(tmp_path / "n.txt"),
+    ]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {message}\n"
     assert not (tmp_path / "n.txt").exists()
 
 
@@ -864,6 +889,7 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     ({"purifier": {"use_ipc": 1}}, "purifier.use_ipc must be bool, got 1"),
     ({"purifier": {"eac": {"period": 2.5}}}, "purifier.eac.period must be int, got 2.5"),
     ({"features": 5}, "features must be str, got 5"),
+    ({"version": 2}, "unsupported config version 2"),
 ])
 def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path, capsys):
     config = {
@@ -874,6 +900,14 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
     path.write_text(json.dumps(config))
     assert dispatch(["purify", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"purify"'])
+def test_non_object_config_exits_one(text, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert dispatch(["purify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: a config must be a JSON object\n"
 
 
 def test_config_takes_ints_for_float_keys_and_null_for_unset_keys(tmp_path):

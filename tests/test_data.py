@@ -16,9 +16,7 @@ from labelpure.data import (
     CleanValidationSet,
     FeatureMatrix,
     HardLabels,
-    LabelLogits,
     effective_labels,
-    hard_labels,
     log_softmax,
     load_features,
     load_hard_labels,
@@ -102,18 +100,20 @@ def test_validation_set_requires_one_hot():
         CleanValidationSet(feats, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         CleanValidationSet(feats, np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="validation labels must be 2-D"):
+        CleanValidationSet(feats, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------- conversions
 
 
 def test_effective_labels_uniform_row():
-    out = effective_labels(LabelLogits(np.zeros((1, 3))), alpha=1.0)
+    out = effective_labels(np.zeros((1, 3)), alpha=1.0)
     assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
 
 
 def test_effective_labels_saturation():
-    out = effective_labels(LabelLogits(np.array([[0.0, 0.0, 1.0]])), alpha=100.0)
+    out = effective_labels(np.array([[0.0, 0.0, 1.0]]), alpha=100.0)
     assert np.abs(out - np.array([0.0, 0.0, 1.0])).max() < 1e-6
 
 
@@ -122,25 +122,20 @@ def test_effective_labels_matches_high_precision_value():
     exps = [mpmath.exp(v) for v in (0.0, 0.0, 1.0)]
     total = sum(exps)
     expected = np.array([float(v / total) for v in exps])
-    out = effective_labels(LabelLogits(np.array([[0.0, 0.0, 1.0]])), alpha=1.0)
+    out = effective_labels(np.array([[0.0, 0.0, 1.0]]), alpha=1.0)
     assert np.abs(out[0] - expected).max() < 1e-15
     assert np.allclose(expected, [0.2119, 0.2119, 0.5761], atol=5e-5)
 
 
 def test_effective_labels_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
-        effective_labels(LabelLogits(np.zeros((1, 2))), alpha=0.0)
-
-
-def test_hard_labels_argmax_and_tie_break():
-    assert hard_labels(LabelLogits(np.array([[0.1, 0.7, 0.2]]))).values[0] == 1
-    assert hard_labels(LabelLogits(np.array([[0.5, 0.5]]))).values[0] == 0
+        effective_labels(np.zeros((1, 2)), alpha=0.0)
 
 
 def test_hard_labels_matches_effective_argmax():
     rng = np.random.default_rng(5)
-    logits = LabelLogits(rng.normal(size=(40, 6)))
-    base = hard_labels(logits).values
+    logits = rng.normal(size=(40, 6))
+    base = np.argmax(logits, axis=1)
     for alpha in (0.25, 1.0, 8.0):
         soft = effective_labels(logits, alpha)
         assert np.array_equal(base, np.argmax(soft, axis=1))
@@ -165,11 +160,9 @@ def test_softmax_rows_normalize(values):
     st.floats(-100, 100).map(lambda v: round(v, 3)),
 )
 def test_argmax_invariant_to_alpha_and_row_shift(values, alpha, shift):
-    logits = LabelLogits(values)
-    base = hard_labels(logits).values
-    assert np.array_equal(base, np.argmax(effective_labels(logits, alpha), axis=1))
-    shifted = LabelLogits(values + shift)
-    assert np.array_equal(base, hard_labels(shifted).values)
+    base = np.argmax(values, axis=1)
+    assert np.array_equal(base, np.argmax(effective_labels(values, alpha), axis=1))
+    assert np.array_equal(base, np.argmax(values + shift, axis=1))
 
 
 def _layouts(rng, n, c):
@@ -318,6 +311,9 @@ def test_binary_header_errors(tmp_path):
     path.write_bytes(struct.pack("<8sIQI", b"DMLPFEAT", 9, 1, 1) + b"\x00" * 4)
     with pytest.raises(FormatError, match="version"):
         load_features(path)
+    path.write_bytes(struct.pack("<8sIQI", b"DMLPFEAT", 1, 0, 2))
+    with pytest.raises(FormatError, match="invalid dimensions 0x2 in header"):
+        load_features(path)
 
 
 def test_binary_trailing_data(tmp_path):
@@ -347,9 +343,11 @@ def test_binary_nonfinite_names_offset(tmp_path):
         (load_onehot_csv, "1,0\n1,1\n", "line 2: not a one-hot row"),
         (load_onehot_csv, "", "no label rows"),
         (load_onehot_csv, "0,x\n", "line 1: could not convert"),
+        (load_onehot_csv, "1,0\n\n  \n0,1\n1,1\n", "line 5: not a one-hot row"),
         (load_hard_labels, "0\n\n1.5\n", "line 3: not a class index: '1.5'"),
         (load_hard_labels, "0\n-1\n", "line 2: negative class index -1"),
         (load_hard_labels, "\n", "no labels"),
+        (load_hard_labels, "1\n99999999999999999999\n", "line 2: class index 99999999999999999999 does not fit in int64"),
     ],
 )
 def test_csv_loaders_error_messages(tmp_path, loader, text, message):
@@ -401,12 +399,12 @@ def test_hard_labels_text_bytes_are_pinned(values, text, tmp_path):
 
 
 # The text format cannot hold zero labels (an empty file reads as "no labels"),
-# so neither label type holds zero rows, as FeatureMatrix does not.
+# so neither labels nor logits, a FeatureMatrix, hold zero rows.
 def test_zero_length_labels_and_logits_are_refused(tmp_path):
     with pytest.raises(ValueError, match="non-empty"):
         HardLabels(np.array([], dtype=np.int64), 3)
-    with pytest.raises(ValueError, match="non-empty"):
-        LabelLogits(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="at least one row"):
+        FeatureMatrix(np.zeros((0, 3)))
     path = tmp_path / "y.txt"
     path.write_bytes(b"")
     with pytest.raises(FormatError, match="no labels"):

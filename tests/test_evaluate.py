@@ -14,7 +14,7 @@ from labelpure.evaluate import (
 )
 from labelpure.noise import MixtureSpec, gen_gaussian_mixture_split, inject_symmetric
 
-from oracles import linear_probe, reference_train_linear_ce
+from oracles import label_accuracy, linear_probe, reference_train_linear_ce
 
 
 # ---------------------------------------------------------------- training
@@ -133,8 +133,6 @@ def test_evaluate_matches_scalar_loop():
 
 
 def test_evaluate_equals_label_accuracy_of_predictions():
-    from labelpure.noise import label_accuracy
-
     rng = np.random.default_rng(13)
     features = FeatureMatrix(rng.normal(size=(30, 5)))
     labels = HardLabels(rng.integers(0, 4, size=30), 4)

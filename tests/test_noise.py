@@ -14,11 +14,10 @@ from labelpure.noise import (
     gen_gaussian_mixture_split,
     inject_asymmetric,
     inject_symmetric,
-    label_accuracy,
 )
 from labelpure.data import HardLabels
 
-from oracles import reference_gaussian_mixture_split
+from oracles import label_accuracy, reference_gaussian_mixture_split
 
 
 # ---------------------------------------------------------------- mixture
@@ -168,6 +167,9 @@ def test_mixture_spec_validation():
         MixtureSpec(10, 0, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         MixtureSpec(10, 2, 2, 0.0, seed=0)
+    for n_val, n_test in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="split sizes must be nonnegative"):
+            gen_gaussian_mixture_split(MixtureSpec(10, 2, 2, 1.0, seed=0), n_val, n_test)
 
 
 # ---------------------------------------------------------------- symmetric noise
@@ -262,6 +264,9 @@ def test_asymmetric_rejects_self_map():
         inject_asymmetric(labels, 0.5, {1: 1}, seed=0)
     with pytest.raises(ValueError):
         inject_asymmetric(labels, 0.5, {0: 9}, seed=0)
+    for ratio in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"noise ratio must lie in \[0, 1\]"):
+            inject_asymmetric(labels, ratio, {0: 1}, seed=0)
 
 
 # ---------------------------------------------------------------- accuracy

@@ -19,12 +19,11 @@ from labelpure.noise import (
     MixtureSpec,
     gen_gaussian_mixture_split,
     inject_symmetric,
-    label_accuracy,
 )
 from labelpure.purifier import PurifierConfig, purify, save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
 
-from oracles import reference_purify
+from oracles import label_accuracy, reference_purify
 
 
 def _small_problem(seed=0, n=64, d=6, c=3, n_val=12):
@@ -143,6 +142,9 @@ def test_tracked_accuracy_equals_a_full_recount(monkeypatch):
     assert len(recounts) == 8 and next(batches, None) is None
     assert recounts[0] != label_accuracy(noisy, clean) and len(set(recounts)) > 2
     assert recounts[-1] == label_accuracy(purified, clean)
+    # The summary takes its accuracies from the same counter.
+    assert report.summary["final_accuracy"] == report.records[-1].acc
+    assert report.summary["initial_accuracy"] == label_accuracy(noisy, clean)
 
 
 def _reference_problem(c, d, n=240, b=48):
@@ -180,6 +182,7 @@ def test_purify_is_deterministic():
     logits_a, _, _ = purify(features, noisy, val, cfg)
     logits_b, _, _ = purify(features, noisy, val, cfg)
     assert np.array_equal(logits_a.values, logits_b.values)
+    assert isinstance(logits_a, FeatureMatrix) and not logits_a.values.flags.writeable
 
 
 def test_validation_set_is_read_only_but_influences_result():
@@ -281,6 +284,9 @@ def test_purify_validates_shapes():
     short = HardLabels(noisy.values[:-1], noisy.n_classes)
     with pytest.raises(ValueError):
         purify(features, short, val, _quick_config())
+    wide = HardLabels(noisy.values, noisy.n_classes + 1)
+    with pytest.raises(ValueError, match="class count mismatch: labels 4 vs validation 3"):
+        purify(features, wide, val, _quick_config())
     bad_truth = HardLabels(clean.values[:-1], clean.n_classes)
     with pytest.raises(ValueError):
         purify(features, noisy, val, _quick_config(), truth=bad_truth)
@@ -306,6 +312,8 @@ def test_report_round_trip(tmp_path):
     back = load_report(path)
     assert back.records == report.records
     assert back.summary == report.summary
+    path.write_text(path.read_text().replace("\n", "\n\n  \n"))  # blank lines are skipped
+    assert load_report(path) == back
 
 
 def test_report_without_truth_has_no_accuracy_keys(tmp_path):
