@@ -29,6 +29,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .errors import parse_json
+
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
 )
@@ -144,7 +146,7 @@ def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
 
 
 def _load_config_file(path: str | Path, command: str) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
         data = data["config"]
     if not isinstance(data, dict):
@@ -405,12 +407,13 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
     tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
+    if cfg["soft_logits"] and not cfg["alpha"] > 0:
+        raise ValueError(f"alpha must be positive, got {cfg['alpha']}")
     features = data.load_features(cfg["features"])
     inputs = {"features": cfg["features"]}
     if cfg["soft_logits"]:
         logits = data.load_features(cfg["soft_logits"])
-        targets = data.effective_labels(logits.values, cfg["alpha"])
-        clf = train_linear_on_targets(features, targets, tconfig)
+        clf = train_linear_on_targets(features, data.softmax(cfg["alpha"] * logits.values), tconfig)
         inputs["soft_logits"] = cfg["soft_logits"]
     else:
         _require(cfg, "labels")
@@ -441,7 +444,7 @@ def _cmd_eval(cfg: dict) -> tuple:
 
     clf = load_classifier(cfg["model"])
     features = data.load_features(cfg["features"])
-    # Not clf.n_classes: a head retrained on labels that lost the top class is
+    # Not the head's width: a head retrained on labels that lost the top class is
     # narrower than the test labels; rows of a class it lacks count as misses.
     labels = data.load_hard_labels(cfg["labels"])
     metrics = {"accuracy": evaluate_classifier(clf, features, labels), "n": features.n}

@@ -152,13 +152,6 @@ def one_hot(labels: HardLabels) -> np.ndarray:
     return np.eye(labels.n_classes, dtype=np.float64)[labels.values]
 
 
-def effective_labels(logits: np.ndarray, alpha: float) -> np.ndarray:
-    """Soft labels softmax(alpha * logits), one probability row per sample."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return softmax(alpha * np.asarray(logits))
-
-
 def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix to disk.
 

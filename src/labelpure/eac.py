@@ -36,10 +36,6 @@ class LinearClassifier:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[1]
-
 
 @dataclass(frozen=True)
 class EacConfig:
@@ -72,7 +68,7 @@ class TrainState:
 
     ``params`` stacks the d x c weights over the bias row, so one set of moment
     updates covers both; ``weights`` and ``bias`` are views into it. The state
-    is checked only when ``classifier()`` copies it out.
+    is checked only when a ``LinearClassifier`` copies it out.
     """
 
     def __init__(self, dim: int, n_classes: int, lr: float = 1e-3) -> None:
@@ -84,10 +80,6 @@ class TrainState:
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.grad = np.zeros_like(self.params)
-
-    def classifier(self) -> LinearClassifier:
-        """A validated, read-only copy of the current weights and bias."""
-        return LinearClassifier(self.weights, self.bias)
 
 
 def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.ndarray:

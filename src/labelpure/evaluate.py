@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
-from .errors import FormatError
+from .errors import FormatError, parse_json
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def train_linear_on_targets(
         for lo in range(0, features.n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
             eac_train_step(state, np.take(F, idx, axis=0), np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
-    return state.classifier()
+    return LinearClassifier(state.weights, state.bias)
 
 
 def train_linear_ce(
@@ -79,11 +79,11 @@ def save_classifier(clf: LinearClassifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> LinearClassifier:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
     if data.get("version") != 1:
-        raise ValueError(f"{path}: unsupported classifier version {data.get('version')}")
+        raise FormatError(f"{path}: unsupported classifier version {data.get('version')}")
     arrays = []
     for key in ("weights", "bias"):
         if key not in data:

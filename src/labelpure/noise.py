@@ -7,6 +7,7 @@ operation here is a pure function of its arguments and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,14 +21,6 @@ CIFAR10_CLASS_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
 # half this size is gathered into a fresh copy; a larger one is permuted
 # along its cycles, so it never exists twice.
 _SHUFFLE_SCRATCH_BYTES = 2 << 20
-
-
-def _check_class_map(class_map: dict[int, int]) -> None:
-    for src, dst in class_map.items():
-        if src == dst:
-            raise ValueError(f"class map entry {src}->{dst} maps a class to itself")
-        if src < 0 or dst < 0:
-            raise ValueError(f"class map entry {src}->{dst} has a negative index")
 
 
 @dataclass(frozen=True)
@@ -153,42 +146,39 @@ def gen_gaussian_mixture_split(
     return train, out[1], out[2]
 
 
-def inject_symmetric(labels: HardLabels, ratio: float, seed: int) -> HardLabels:
-    """Flip each label with probability ``ratio`` to a uniformly chosen other class."""
+def _flip(labels: HardLabels, ratio: float, seed: int, targets: Callable[[np.random.Generator], np.ndarray]) -> HardLabels:
+    """Replace each label with probability ``ratio`` by its row of ``targets(rng)``,
+    which draws from the generator after the flip mask."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
+    rng = np.random.default_rng(seed)
+    flip = rng.random(len(labels)) < ratio
+    return HardLabels(np.where(flip, targets(rng), labels.values), labels.n_classes)
+
+
+def inject_symmetric(labels: HardLabels, ratio: float, seed: int) -> HardLabels:
+    """Flip each label with probability ``ratio`` to a uniformly chosen other class."""
     c = labels.n_classes
     if c < 2:
         raise ValueError(f"symmetric noise needs at least 2 classes, got {c}")
-    n = len(labels)
-    rng = np.random.default_rng(seed)
-    flip = rng.random(n) < ratio
     # label + 1 + U{0..c-2} mod c is uniform over the c-1 other classes
-    offsets = rng.integers(0, c - 1, size=n)
-    flipped = (labels.values + 1 + offsets) % c
-    return HardLabels(np.where(flip, flipped, labels.values), c)
+    return _flip(labels, ratio, seed, lambda rng: (labels.values + 1 + rng.integers(0, c - 1, size=len(labels))) % c)
 
 
 def inject_asymmetric(labels: HardLabels, ratio: float, class_map: dict[int, int], seed: int) -> HardLabels:
     """Flip mapped classes to their designated target with probability ``ratio``.
 
-    Classes absent from the map are never touched; a flipped label always
-    lands on ``class_map[original]``.
+    Classes absent from the map are their own target, so they are never
+    touched; a flipped label always lands on ``class_map[original]``.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
-    _check_class_map(class_map)
     c = labels.n_classes
+    target = np.arange(c, dtype=np.int64)
     for src, dst in class_map.items():
+        if src == dst:
+            raise ValueError(f"class map entry {src}->{dst} maps a class to itself")
+        if src < 0 or dst < 0:
+            raise ValueError(f"class map entry {src}->{dst} has a negative index")
         if src >= c or dst >= c:
             raise ValueError(f"class map entry {src}->{dst} outside {c} classes")
-    rng = np.random.default_rng(seed)
-    target = np.arange(c, dtype=np.int64)
-    mapped = np.zeros(c, dtype=bool)
-    for src, dst in class_map.items():
         target[src] = dst
-        mapped[src] = True
-    eligible = mapped[labels.values]
-    flip = (rng.random(len(labels)) < ratio) & eligible
-    return HardLabels(np.where(flip, target[labels.values], labels.values), c)
-
+    return _flip(labels, ratio, seed, lambda rng: target[labels.values])

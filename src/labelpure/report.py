@@ -10,7 +10,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, parse_json
 
 REPORT_SCHEMA = 1
 
@@ -58,25 +58,25 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> CorrectionReport:
     """Read a report written by save_report; blank lines are skipped. A line
-    that is not a record with fields of their types, or a summary object,
-    raises FormatError naming the file and the line."""
+    that is not a record with fields of their types, or a summary object, or
+    any line after the summary, raises FormatError naming the file and the line."""
     kinds = {f.name: _JSON_KINDS[f.type] for f in fields(IterationRecord)}
     required = [f.name for f in fields(IterationRecord) if f.default is MISSING]
     records: list[IterationRecord] = []
     summary: dict | None = None
+    summary_line = 0
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:  # a run killed mid-write leaves a cut line
-                raise FormatError(f"{path}: line {lineno}: {exc.msg}: column {exc.colno}") from None
+            if summary_line:  # two reports written one after the other
+                raise FormatError(f"{path}: line {lineno}: the summary on line {summary_line} must be the last line")
+            row = parse_json(line, path, lineno)  # a run killed mid-write leaves a cut line
             if not isinstance(row, dict):
                 raise FormatError(f"{path}: line {lineno}: a record must be a JSON object, got {type(row).__name__}")
             if "summary" in row:
-                summary = row["summary"]
+                summary, summary_line = row["summary"], lineno
                 if not isinstance(summary, dict):
                     raise FormatError(f"{path}: line {lineno}: the summary must be a JSON object, got {type(summary).__name__}")
                 continue

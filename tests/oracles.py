@@ -284,7 +284,7 @@ def fd_classifier_gradients(
 def naive_forward(clf: LinearClassifier, F: np.ndarray) -> np.ndarray:
     """Scalar-loop affine map, as an oracle for classifier_forward."""
     m, d = F.shape
-    c = clf.n_classes
+    c = clf.weights.shape[1]
     out = np.zeros((m, c))
     for i in range(m):
         for k in range(c):

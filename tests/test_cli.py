@@ -82,13 +82,22 @@ def test_negative_retrain_lr_exits_one(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_retrain_ignores_alpha_with_hard_labels(tmp_path):
+    _synth(tmp_path, n=60, n_val=0, n_test=0)
+    assert dispatch([
+        "retrain", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "y.txt"),
+        "--alpha=0", "--epochs", "1", "--out-model", str(tmp_path / "m.json"),
+    ]) == 0
+
+
 @pytest.mark.parametrize("command, flag, message", [
     ("retrain", "--lr=-1", "lr must be nonnegative, got -1.0"),
     ("purify", "--lambda=-1", "lam must be nonnegative, got -1.0"),
+    ("retrain", "--alpha=0", "alpha must be positive, got 0.0"),
 ])
 def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
     words = {
-        "retrain": ["--features", "f.bin", "--labels", "y.txt", "--out-model", "m.json"],
+        "retrain": ["--features", "f.bin", "--soft-logits", "logits.bin", "--out-model", "m.json"],
         "purify": [
             "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
             "--out-labels", "pure.txt",
@@ -211,9 +220,12 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     ('{"p": 2, "epoch": 0, "val_loss": null, "grad_norm": [1], "eac_update": true}', "line 2: grad_norm must be a number or null, got [1]"),
     ('{"p": 2, "epoch": 0, "val_loss": 1, "grad_norm": 0.5, "eac_update": true, "acc": false}', "line 2: acc must be a number or null, got false"),
     ('{"summary": 5}', "line 2: the summary must be a JSON object, got int"),
+    ('{"summary": {"a": 1}}\n\n{"summary": {"b": 2}}', "line 4: the summary on line 2 must be the last line"),
+    ('{"summary": {}}\n' + _RECORD, "line 3: the summary on line 2 must be the last line"),
 ], ids=[
     "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
-    "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary",
+    "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary", "second-summary",
+    "record-after-summary",
 ])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"
@@ -499,7 +511,7 @@ def test_eval_scores_rows_of_a_class_the_head_lacks_as_misses(tmp_path, capsys):
     ]) == 0
     clf = load_classifier(tmp_path / "model.json")
     truth = load_hard_labels(tmp_path / "ty.txt")
-    assert (clf.n_classes, truth.n_classes) == (2, 3)
+    assert (clf.weights.shape[1], truth.n_classes) == (2, 3)
     pred = np.argmax(load_features(tmp_path / "tf.bin").values @ clf.weights + clf.bias, axis=1)
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert printed["accuracy"] == float(np.mean(pred == truth.values))
@@ -902,12 +914,16 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
     assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '"purify"'])
-def test_non_object_config_exits_one(text, tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, "a config must be a JSON object", id=text) for text in ("[1, 2]", '"purify"')
+] + [
+    pytest.param('{"version": 1,', "line 1: Expecting property name enclosed in double quotes: column 15", id="cut"),
+])
+def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(text)
     assert dispatch(["purify", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"labelpure: error: {path}: a config must be a JSON object\n"
+    assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
 
 
 def test_config_takes_ints_for_float_keys_and_null_for_unset_keys(tmp_path):

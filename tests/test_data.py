@@ -16,7 +16,6 @@ from labelpure.data import (
     CleanValidationSet,
     FeatureMatrix,
     HardLabels,
-    effective_labels,
     log_softmax,
     load_features,
     load_hard_labels,
@@ -108,12 +107,12 @@ def test_validation_set_requires_one_hot():
 
 
 def test_effective_labels_uniform_row():
-    out = effective_labels(np.zeros((1, 3)), alpha=1.0)
+    out = softmax(np.zeros((1, 3)))
     assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
 
 
 def test_effective_labels_saturation():
-    out = effective_labels(np.array([[0.0, 0.0, 1.0]]), alpha=100.0)
+    out = softmax(100.0 * np.array([[0.0, 0.0, 1.0]]))
     assert np.abs(out - np.array([0.0, 0.0, 1.0])).max() < 1e-6
 
 
@@ -122,14 +121,9 @@ def test_effective_labels_matches_high_precision_value():
     exps = [mpmath.exp(v) for v in (0.0, 0.0, 1.0)]
     total = sum(exps)
     expected = np.array([float(v / total) for v in exps])
-    out = effective_labels(np.array([[0.0, 0.0, 1.0]]), alpha=1.0)
+    out = softmax(np.array([[0.0, 0.0, 1.0]]))
     assert np.abs(out[0] - expected).max() < 1e-15
     assert np.allclose(expected, [0.2119, 0.2119, 0.5761], atol=5e-5)
-
-
-def test_effective_labels_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        effective_labels(np.zeros((1, 2)), alpha=0.0)
 
 
 def test_hard_labels_matches_effective_argmax():
@@ -137,7 +131,7 @@ def test_hard_labels_matches_effective_argmax():
     logits = rng.normal(size=(40, 6))
     base = np.argmax(logits, axis=1)
     for alpha in (0.25, 1.0, 8.0):
-        soft = effective_labels(logits, alpha)
+        soft = softmax(alpha * logits)
         assert np.array_equal(base, np.argmax(soft, axis=1))
 
 
@@ -161,7 +155,7 @@ def test_softmax_rows_normalize(values):
 )
 def test_argmax_invariant_to_alpha_and_row_shift(values, alpha, shift):
     base = np.argmax(values, axis=1)
-    assert np.array_equal(base, np.argmax(effective_labels(values, alpha), axis=1))
+    assert np.array_equal(base, np.argmax(softmax(alpha * values), axis=1))
     assert np.array_equal(base, np.argmax(values + shift, axis=1))
 
 

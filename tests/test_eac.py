@@ -200,7 +200,7 @@ def test_training_is_deterministic():
         state = TrainState(3, 4)
         for _ in range(25):
             eac_train_step(state, F, targets)
-        return state.classifier()
+        return LinearClassifier(state.weights, state.bias)
 
     a, b = run(), run()
     assert np.array_equal(a.weights, b.weights)
@@ -226,7 +226,7 @@ def test_train_step_rejects_targets_of_another_shape():
 
 def test_classifier_is_a_read_only_copy_of_the_state():
     state = _state(3, 2, weights=np.arange(6.0).reshape(3, 2), bias=[1.0, 2.0])
-    clf = state.classifier()
+    clf = LinearClassifier(state.weights, state.bias)
     state.params += 1.0
     assert np.array_equal(clf.weights, np.arange(6.0).reshape(3, 2))
     assert np.array_equal(clf.bias, [1.0, 2.0])

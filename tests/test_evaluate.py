@@ -211,7 +211,7 @@ def test_classifier_round_trip(tmp_path):
 def test_classifier_version_check(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"version": 2, "weights": [[0.0]], "bias": [0.0]}')
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="unsupported classifier version 2"):
         load_classifier(path)
 
 
@@ -223,6 +223,8 @@ def test_classifier_version_check(tmp_path):
     ('{"version": 1, "weights": [[0.0]], "bias": {"b": 0.0}}', "bias must be an array of numbers"),
     ('{"version": 1, "weights": [[1.0, 2.0]], "bias": [0.0]}', "inconsistent classifier shapes (1, 2) / (1,)"),
     ('{"version": 1, "weights": [[NaN]], "bias": [0.0]}', "classifier parameters contain non-finite entries"),
+    ('{"version": 1, "weights": [[0.0]], "bias"', "line 1: Expecting ':' delimiter: column 42"),
+    ('{"version": 1,\n "weights": [[0.0]],\n "bias": [0.', "line 3: Expecting ',' delimiter: column 12"),
 ])
 def test_malformed_classifier_file_names_path_and_key(tmp_path, text, message):
     path = tmp_path / "model.json"

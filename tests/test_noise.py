@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -260,13 +261,28 @@ def test_asymmetric_unmapped_classes_untouched():
 
 def test_asymmetric_rejects_self_map():
     labels = _labels(10, 3, 0)
-    with pytest.raises(ValueError):
-        inject_asymmetric(labels, 0.5, {1: 1}, seed=0)
-    with pytest.raises(ValueError):
-        inject_asymmetric(labels, 0.5, {0: 9}, seed=0)
+    for class_map, message in [
+        ({1: 1}, "maps a class to itself"), ({-1: 0}, "has a negative index"), ({0: -1}, "has a negative index"),
+        ({0: 9}, "outside 3 classes"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            inject_asymmetric(labels, 0.5, class_map, seed=0)
     for ratio in (-0.1, 1.5):
         with pytest.raises(ValueError, match=r"noise ratio must lie in \[0, 1\]"):
             inject_asymmetric(labels, ratio, {0: 1}, seed=0)
+
+
+@pytest.mark.parametrize("inject, c, label_seed, digest", [
+    (lambda y: inject_symmetric(y, 0.3, seed=12), 5, 11, "06593188db849890"),
+    (lambda y: inject_symmetric(y, 0.6, seed=14), 10, 13, "b2868738225be7e0"),
+    (lambda y: inject_asymmetric(y, 0.4, CIFAR10_CLASS_MAP, seed=16), 10, 15, "325b0671fa041d37"),
+    (lambda y: inject_asymmetric(y, 0.5, {0: 1, 2: 3}, seed=18), 5, 17, "c2befe843cef6977"),
+], ids=["symmetric-5", "symmetric-10", "asymmetric-cifar10", "asymmetric-partial-map"])
+def test_injectors_reproduce_their_pinned_outputs(inject, c, label_seed, digest):
+    # The digests pin each injector's draw order: a manifest replays a corrupt
+    # run only if the same seed still flips the same rows to the same classes.
+    out = inject(_labels(1000, c, label_seed)).values
+    assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------- accuracy
