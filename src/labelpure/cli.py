@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import parse_json
+from .errors import parse_json, read_text
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
@@ -81,6 +81,13 @@ class _Command(NamedTuple):
     options: tuple[_Opt, ...]
     replay: bool = True
     trees: Callable[[], dict] | None = None
+
+
+def _check_threads(value, where: str) -> None:
+    """Refuse a thread count that is not a positive decimal integer. It stays a
+    string, as manifests record it; OpenBLAS reads "abc" or "0" as every core."""
+    if value is not None and not (isinstance(value, str) and value.isascii() and value.isdigit() and int(value) > 0):
+        raise ValueError(f'{where} must be a positive integer such as "1", got {json.dumps(value)}')
 
 
 def _apply_threads(threads) -> None:
@@ -146,7 +153,7 @@ def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
 
 
 def _load_config_file(path: str | Path, command: str) -> dict:
-    data = parse_json(Path(path).read_text(encoding="utf-8"), path)
+    data = parse_json(read_text(path), path)
     if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
         data = data["config"]
     if not isinstance(data, dict):
@@ -188,7 +195,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     source = getattr(args, "config", None)
     overlay = _load_config_file(source, args.command) if source else {}
     # Before _defaults: building the purify/retrain trees imports numpy.
-    _apply_threads(getattr(args, "threads", None) or overlay.get("threads"))
+    threads = getattr(args, "threads", None)
+    _check_threads(overlay.get("threads"), f"{source}: threads")
+    _check_threads(threads, "threads")
+    _apply_threads(threads or overlay.get("threads"))
     cfg = _deep_update(_defaults(args.command), overlay, source, {opt.key: opt for opt in cmd.options})
     for opt in cmd.options:
         value = getattr(args, _dest(opt))

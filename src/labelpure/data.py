@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, read_text
 
 MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
@@ -234,7 +234,7 @@ def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
 def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabels:
     """Read a text label file; class count defaults to max index + 1."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     try:
         values = list(map(int, filter(None, map(str.strip, lines))))
     except ValueError:
@@ -273,20 +273,19 @@ def load_onehot_csv(path: str | Path) -> np.ndarray:
     per row; blank lines are skipped."""
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(part) for part in line.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            if rows and len(row) != len(rows[0]):
-                raise FormatError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(row)}")
-            if not (all(v in (0.0, 1.0) for v in row) and sum(row) == 1.0):
-                raise FormatError(f"{path}: line {lineno}: not a one-hot row")
-            rows.append(row)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(part) for part in line.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(row)}")
+        if not (all(v in (0.0, 1.0) for v in row) and sum(row) == 1.0):
+            raise FormatError(f"{path}: line {lineno}: not a one-hot row")
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no label rows")
     return np.asarray(rows, dtype=np.float64)

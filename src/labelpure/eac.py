@@ -146,5 +146,14 @@ def eac_train_step(state: TrainState, F_batch: np.ndarray, targets: np.ndarray, 
 
 def eac_label_update(Y_t: np.ndarray, logits_all: np.ndarray, eta: float) -> np.ndarray:
     """Momentum blend of label logits with classifier logits: (1-eta) Y + eta C.
-    The loop passes same-shape float arrays and ``EacConfig`` checked ``eta``."""
-    return (1.0 - eta) * Y_t + eta * logits_all
+
+    The blend is written into ``logits_all``, which is returned; ``Y_t`` is
+    left as it was. The loop hands in a fresh forward it does not read again,
+    so a replacement allocates one N x c temporary, not three. Each product is
+    the one the out-of-place sum forms, and IEEE addition commutes, so the
+    result is bitwise that sum's. The loop passes same-shape float64 arrays
+    and ``EacConfig`` checked ``eta``.
+    """
+    logits_all *= eta
+    logits_all += (1.0 - eta) * Y_t
+    return logits_all

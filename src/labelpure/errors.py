@@ -1,6 +1,8 @@
-"""Shared exception types, and the JSON parse that names where a file breaks."""
+"""Shared exception types, and the text read and JSON parse that name where a
+file breaks."""
 
 import json
+from pathlib import Path
 
 
 class FormatError(ValueError):
@@ -13,6 +15,23 @@ class FormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced non-finite values and was aborted."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path`` with its newlines read as ``open`` reads them
+    (``\r\n`` and ``\r`` become ``\n``). Bytes that are not UTF-8 raise
+    FormatError naming the file and the line they are on."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _universal_newlines(raw[: exc.start].decode("utf-8")).count("\n") + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_json(text: str, path: object, line: int = 1) -> object:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
-from .errors import FormatError, parse_json
+from .errors import FormatError, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def save_classifier(clf: LinearClassifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> LinearClassifier:
-    data = parse_json(Path(path).read_text(encoding="utf-8"), path)
+    data = parse_json(read_text(path), path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
     if data.get("version") != 1:

@@ -78,7 +78,7 @@ def purify(
     F_t = features.values
     F_v = val.features.values
     Y_v = val.labels
-    Y = one_hot(noisy)
+    Y = one_hot(noisy)  # the one label buffer: ridge steps write its batch rows, replacements all of it
     state = TrainState(features.dim, c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
@@ -113,7 +113,7 @@ def purify(
                 if cfg.use_eac:
                     eac_train_step(state, f, softmax(alpha * y), gamma_ent=cfg.eac.gamma_ent)
                     if p % cfg.eac.period == 0:
-                        Y = eac_label_update(Y, classifier_forward(state, F_t), cfg.eac.eta)
+                        Y[...] = eac_label_update(Y, classifier_forward(state, F_t), cfg.eac.eta)
                         did_replace = True
                         if truth is not None:
                             pred = np.argmax(Y, axis=1)

@@ -10,7 +10,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import FormatError, parse_json
+from .errors import FormatError, parse_json, read_text
 
 REPORT_SCHEMA = 1
 
@@ -65,32 +65,31 @@ def load_report(path: str | Path) -> CorrectionReport:
     records: list[IterationRecord] = []
     summary: dict | None = None
     summary_line = 0
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if summary_line:  # two reports written one after the other
-                raise FormatError(f"{path}: line {lineno}: the summary on line {summary_line} must be the last line")
-            row = parse_json(line, path, lineno)  # a run killed mid-write leaves a cut line
-            if not isinstance(row, dict):
-                raise FormatError(f"{path}: line {lineno}: a record must be a JSON object, got {type(row).__name__}")
-            if "summary" in row:
-                summary, summary_line = row["summary"], lineno
-                if not isinstance(summary, dict):
-                    raise FormatError(f"{path}: line {lineno}: the summary must be a JSON object, got {type(summary).__name__}")
-                continue
-            unknown = [key for key in row if key not in kinds]
-            if unknown:
-                raise FormatError(f"{path}: line {lineno}: unknown record field(s) {', '.join(unknown)}")
-            missing = [key for key in required if key not in row]
-            if missing:
-                raise FormatError(f"{path}: line {lineno}: missing record field(s) {', '.join(missing)}")
-            for key, value in row.items():
-                types, what = kinds[key]
-                if type(value) not in types:
-                    raise FormatError(f"{path}: line {lineno}: {key} must be {what}, got {json.dumps(value)}")
-            records.append(IterationRecord(**row))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if summary_line:  # two reports written one after the other
+            raise FormatError(f"{path}: line {lineno}: the summary on line {summary_line} must be the last line")
+        row = parse_json(line, path, lineno)  # a run killed mid-write leaves a cut line
+        if not isinstance(row, dict):
+            raise FormatError(f"{path}: line {lineno}: a record must be a JSON object, got {type(row).__name__}")
+        if "summary" in row:
+            summary, summary_line = row["summary"], lineno
+            if not isinstance(summary, dict):
+                raise FormatError(f"{path}: line {lineno}: the summary must be a JSON object, got {type(summary).__name__}")
+            continue
+        unknown = [key for key in row if key not in kinds]
+        if unknown:
+            raise FormatError(f"{path}: line {lineno}: unknown record field(s) {', '.join(unknown)}")
+        missing = [key for key in required if key not in row]
+        if missing:
+            raise FormatError(f"{path}: line {lineno}: missing record field(s) {', '.join(missing)}")
+        for key, value in row.items():
+            types, what = kinds[key]
+            if type(value) not in types:
+                raise FormatError(f"{path}: line {lineno}: {key} must be {what}, got {json.dumps(value)}")
+        records.append(IterationRecord(**row))
     if summary is None:
         raise FormatError(f"{path}: missing summary line")
     return CorrectionReport(records=records, summary=summary)

@@ -156,8 +156,8 @@ def test_criterion_3_classifier_gradient_and_blend_endpoints():
         worst_rel = max(worst_rel, rel_w, rel_b, abs_w, abs_b)
     Y = rng.normal(size=(20, 4))
     logits = rng.normal(size=(20, 4))
-    exact_zero = np.array_equal(eac_label_update(Y, logits, 0.0), Y)
-    exact_one = np.array_equal(eac_label_update(Y, logits, 1.0), logits)
+    exact_zero = np.array_equal(eac_label_update(Y, logits.copy(), 0.0), Y)
+    exact_one = np.array_equal(eac_label_update(Y, logits.copy(), 1.0), logits)
     ok = worst_rel <= 1e-4 and exact_zero and exact_one
     print(
         f"[criterion 3] classifier gradient oracle: {'PASS' if ok else 'FAIL'} "

@@ -94,6 +94,9 @@ def test_retrain_ignores_alpha_with_hard_labels(tmp_path):
     ("retrain", "--lr=-1", "lr must be nonnegative, got -1.0"),
     ("purify", "--lambda=-1", "lam must be nonnegative, got -1.0"),
     ("retrain", "--alpha=0", "alpha must be positive, got 0.0"),
+    ("purify", "--threads=abc", 'threads must be a positive integer such as "1", got "abc"'),
+    ("retrain", "--threads=0", 'threads must be a positive integer such as "1", got "0"'),
+    ("purify", "--threads=-1", 'threads must be a positive integer such as "1", got "-1"'),
 ])
 def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
     words = {
@@ -222,14 +225,15 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     ('{"summary": 5}', "line 2: the summary must be a JSON object, got int"),
     ('{"summary": {"a": 1}}\n\n{"summary": {"b": 2}}', "line 4: the summary on line 2 must be the last line"),
     ('{"summary": {}}\n' + _RECORD, "line 3: the summary on line 2 must be the last line"),
+    ("\udcff{}", "line 2: not UTF-8 text"),
 ], ids=[
     "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
     "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary", "second-summary",
-    "record-after-summary",
+    "record-after-summary", "not-utf-8",
 ])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"
-    path.write_text(f"{_RECORD}\n{line}\n")
+    path.write_bytes(f"{_RECORD}\n{line}\n".encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     assert dispatch(["report", "--in", str(path), "--csv", str(tmp_path / "rep.csv")]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
     assert not (tmp_path / "rep.csv").exists()
@@ -605,6 +609,8 @@ def _other_value(opt, current):
         return [f"--no-{opt.flag[2:]}"] if current else [opt.flag]
     if opt.choices:
         return [opt.flag, next(c for c in opt.choices if c != current)]
+    if opt.key == "threads":  # a string, but only of a positive integer
+        return [opt.flag, str(int(current or 0) + 3)]
     if opt.type is str:
         return [opt.flag, f"{current}-other"]
     return [opt.flag, str(opt.type((current or 0) + 3))]
@@ -918,10 +924,11 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
     pytest.param(text, "a config must be a JSON object", id=text) for text in ("[1, 2]", '"purify"')
 ] + [
     pytest.param('{"version": 1,', "line 1: Expecting property name enclosed in double quotes: column 15", id="cut"),
+    pytest.param("\udcff{}", "line 1: not UTF-8 text", id="not-utf-8"),
 ])
 def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     assert dispatch(["purify", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
 

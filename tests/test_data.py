@@ -342,11 +342,13 @@ def test_binary_nonfinite_names_offset(tmp_path):
         (load_hard_labels, "0\n-1\n", "line 2: negative class index -1"),
         (load_hard_labels, "\n", "no labels"),
         (load_hard_labels, "1\n99999999999999999999\n", "line 2: class index 99999999999999999999 does not fit in int64"),
+        (load_onehot_csv, "0,1\n\udcfe,0\n", "line 2: not UTF-8 text"),
+        (load_hard_labels, "1\n\udcff\n", "line 2: not UTF-8 text"),
     ],
 )
 def test_csv_loaders_error_messages(tmp_path, loader, text, message):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
         loader(path)
 

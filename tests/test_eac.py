@@ -261,8 +261,8 @@ def test_label_update_endpoints_are_exact():
     rng = np.random.default_rng(8)
     Y = rng.normal(size=(6, 3))
     logits = rng.normal(size=(6, 3))
-    assert np.array_equal(eac_label_update(Y, logits, 0.0), Y)
-    assert np.array_equal(eac_label_update(Y, logits, 1.0), logits)
+    assert np.array_equal(eac_label_update(Y, logits.copy(), 0.0), Y)
+    assert np.array_equal(eac_label_update(Y, logits.copy(), 1.0), logits)
 
 
 def test_label_update_midpoint_arithmetic():
@@ -275,8 +275,23 @@ def test_label_update_is_affine():
     Y = rng.normal(size=(4, 2))
     logits = rng.normal(size=(4, 2))
     eta = 0.3
+    out = eac_label_update(Y, logits.copy(), eta)
+    assert np.array_equal(out, (1 - eta) * Y + eta * logits)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+def test_label_update_blends_into_the_logits_it_is_handed(eta):
+    # The loop copies the result into its label matrix, so the blend may reuse
+    # the forward's array, but must leave Y as it was: the tracer compares the
+    # argmax before and after. The sum is bitwise the out-of-place one's.
+    rng = np.random.default_rng(10)
+    Y = rng.normal(size=(50, 7))
+    logits = rng.normal(size=(50, 7))
+    Y_before, expected = Y.copy(), (1 - eta) * Y + eta * logits
     out = eac_label_update(Y, logits, eta)
-    assert np.abs(out - ((1 - eta) * Y + eta * logits)).max() < 1e-15
+    assert out is logits
+    assert np.array_equal(out, expected)
+    assert np.array_equal(Y, Y_before)
 
 
 def test_eac_config_validation():

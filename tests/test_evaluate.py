@@ -225,10 +225,11 @@ def test_classifier_version_check(tmp_path):
     ('{"version": 1, "weights": [[NaN]], "bias": [0.0]}', "classifier parameters contain non-finite entries"),
     ('{"version": 1, "weights": [[0.0]], "bias"', "line 1: Expecting ':' delimiter: column 42"),
     ('{"version": 1,\n "weights": [[0.0]],\n "bias": [0.', "line 3: Expecting ',' delimiter: column 12"),
+    ("\udcff{}", "line 1: not UTF-8 text"),
 ])
 def test_malformed_classifier_file_names_path_and_key(tmp_path, text, message):
     path = tmp_path / "model.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     with pytest.raises(FormatError) as exc:
         load_classifier(path)
     assert str(exc.value) == f"{path}: {message}"

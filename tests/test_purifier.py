@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,33 @@ def test_single_batch_when_batch_exceeds_n():
     features, _, noisy, val = _small_problem(n=20)
     _, _, report = purify(features, noisy, val, _quick_config(batch_size=64, epochs=3))
     assert len(report.records) == 3
+
+
+# ---------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("with_truth", [False, True], ids=["no-truth", "truth"])
+def test_purify_peak_stays_under_four_label_matrices(with_truth):
+    # The loop keeps one N x c label buffer and blends each replacement into
+    # the forward's own array, so its traced peak is 3.17 label matrices (3.26
+    # with truth). Blending into a new matrix and rebinding the buffer to it
+    # read 4.17 (4.26): a replacement then held the old and the new labels, the
+    # forward and two products.
+    n, d, c = 20000, 16, 10
+    rng = np.random.default_rng(11)
+    features = FeatureMatrix(rng.normal(size=(n, d)))
+    noisy = HardLabels(rng.integers(0, c, size=n), c)
+    truth = HardLabels(rng.integers(0, c, size=n), c) if with_truth else None
+    val = CleanValidationSet(FeatureMatrix(rng.normal(size=(5 * c, d))), one_hot(HardLabels(np.arange(5 * c) % c, c)))
+    cfg = PurifierConfig(eac=EacConfig(period=10), epochs=1)
+    tracemalloc.start()
+    try:
+        purify(features, noisy, val, cfg, truth=truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    label_matrices = peak / (n * c * 8)
+    assert label_matrices < 3.75, label_matrices
 
 
 # ---------------------------------------------------------------- errors
