@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -36,6 +37,9 @@ _THREAD_ENV_VARS = (
 )
 
 _REPLAY_HELP = "JSON config file or manifest to replay"
+
+# The top-level string keys whose values are not file names.
+_NOT_FILES = ("kind", "map", "threads")
 
 # Keys that older config files and manifests carry, per command that wrote
 # them, each with the value every run used: Adam's constants in
@@ -155,6 +159,8 @@ def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
 def _load_config_file(path: str | Path, command: str) -> dict:
     data = parse_json(read_text(path), path)
     if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
+        if data["command"] != command:
+            raise ValueError(f"{path}: a manifest of {data['command']}, not {command}")
         data = data["config"]
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a config must be a JSON object")
@@ -213,6 +219,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _check_distinct_files(cfg: dict) -> None:
+    """Refuse two file options that name one file, so that no output replaces
+    an input or another output. Each handler calls it before it reads a file.
+    Every top-level string key names a file, except those in ``_NOT_FILES``."""
+    seen: dict[str, str] = {}
+    for key, value in cfg.items():
+        if isinstance(value, str) and key not in _NOT_FILES:
+            real = os.path.realpath(value)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {key} name the same file {value}")
+            seen[real] = key
+
+
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
@@ -243,6 +262,7 @@ _SYNTH_OPTIONS = (
 def _cmd_synth(cfg: dict) -> tuple:
     from . import data, noise
 
+    _check_distinct_files(cfg)
     if cfg["n_val"] > 0:
         _require(cfg, "out_val_features", "out_val_labels")
     if cfg["n_test"] > 0:
@@ -301,6 +321,7 @@ def _parse_class_map(text: str) -> dict[int, int]:
 def _cmd_corrupt(cfg: dict) -> tuple:
     from . import data, noise
 
+    _check_distinct_files(cfg)
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"])
@@ -361,6 +382,7 @@ def _cmd_purify(cfg: dict) -> tuple:
     from .ipc import IpcConfig
     from .purifier import PurifierConfig, purify, save_report
 
+    _check_distinct_files(cfg)
     # The config first, so a bad value is refused before any input is read.
     tree = dict(cfg["purifier"])
     ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
@@ -416,7 +438,10 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from . import data
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
+    _check_distinct_files(cfg)
     tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
+    if cfg["soft_logits"] and not math.isfinite(cfg["alpha"]):
+        raise ValueError(f"alpha must be finite, got {cfg['alpha']}")
     if cfg["soft_logits"] and not cfg["alpha"] > 0:
         raise ValueError(f"alpha must be positive, got {cfg['alpha']}")
     features = data.load_features(cfg["features"])
@@ -452,6 +477,7 @@ def _cmd_eval(cfg: dict) -> tuple:
     from . import data
     from .evaluate import evaluate_classifier, load_classifier
 
+    _check_distinct_files(cfg)
     clf = load_classifier(cfg["model"])
     features = data.load_features(cfg["features"])
     # Not the head's width: a head retrained on labels that lost the top class is
@@ -485,6 +511,7 @@ def _cmd_report(cfg: dict) -> tuple:
     def cell(value):
         return "" if value is None else int(value) if isinstance(value, bool) else value
 
+    _check_distinct_files(cfg)
     rep = load_report(cfg["in"])
     with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -234,24 +234,20 @@ def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
 def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabels:
     """Read a text label file; class count defaults to max index + 1."""
     path = Path(path)
-    lines = read_text(path).split("\n")
-    try:
-        values = list(map(int, filter(None, map(str.strip, lines))))
-    except ValueError:
-        values = None
-    if values is None or (values and (min(values) < 0 or max(values) > _MAX_INDEX)):  # find the first bad line
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: not a class index: {line!r}") from None
-            if value < 0:
-                raise FormatError(f"{path}: line {lineno}: negative class index {value}")
-            if value > _MAX_INDEX:
-                raise FormatError(f"{path}: line {lineno}: class index {value} does not fit in int64")
+    values = []
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: not a class index: {line!r}") from None
+        if value < 0:
+            raise FormatError(f"{path}: line {lineno}: negative class index {value}")
+        if value > _MAX_INDEX:
+            raise FormatError(f"{path}: line {lineno}: class index {value} does not fit in int64")
+        values.append(value)
     if not values:
         raise FormatError(f"{path}: no labels")
     top = max(values)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import softmax, softmax_entropy
-from .errors import NumericError
+from .errors import NumericError, check_finite
 
 # Adam's moment decay rates and denominator floor.
 _BETA1 = 0.9
@@ -53,6 +53,7 @@ class EacConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.period < 1:
@@ -83,13 +84,10 @@ class TrainState:
 
 
 def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.ndarray:
-    """Class logits for each feature row, as a C-contiguous n x c array.
-
-    The product is formed class-major, ``weights.T @ F.T`` (c x n): on
-    splits of thousands of rows OpenBLAS's SkylakeX kernel runs it faster
-    than ``F @ weights``, to the same bits, and other kernels about as fast.
-    The copy back to row-major keeps callers' argmaxes and row gathers off a
-    strided array.
+    """Class logits for each feature row, as an n x c view of the class-major
+    product ``weights.T @ F.T`` (c x n): on splits of thousands of rows
+    OpenBLAS's SkylakeX kernel runs it faster than ``F @ weights``, to the
+    same bits, and other kernels about as fast.
     """
     F = np.asarray(F, dtype=np.float64)
     dim = clf.weights.shape[0]
@@ -97,7 +95,7 @@ def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.
         raise ValueError(f"feature dim {F.shape[-1]} does not match classifier dim {dim}")
     logits = clf.weights.T @ F.T
     logits += clf.bias[:, None]
-    return np.ascontiguousarray(logits.T)
+    return logits.T
 
 
 def check_targets(targets: np.ndarray) -> None:

@@ -1,7 +1,9 @@
-"""Shared exception types, and the text read and JSON parse that name where a
-file breaks."""
+"""Shared exception types, the text read and JSON parse that name where a
+file breaks, and the finiteness check of config fields."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 
@@ -32,6 +34,14 @@ def read_text(path: str | Path) -> str:
 
 def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def check_finite(config: object) -> None:
+    """Refuse a dataclass whose float fields hold a NaN or an infinity."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def parse_json(text: str, path: object, line: int = 1) -> object:

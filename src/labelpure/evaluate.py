@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
-from .errors import FormatError, parse_json, read_text
+from .errors import FormatError, check_finite, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.epochs < 1 or self.batch < 1:
             raise ValueError(f"epochs and batch must be >= 1, got {self.epochs}, {self.batch}")
         if self.lr < 0:

@@ -30,7 +30,7 @@ import scipy
 from numpy.linalg import LinAlgError
 
 from .data import softmax, softmax_entropy
-from .errors import NumericError
+from .errors import NumericError, check_finite
 
 
 def _load_flapack() -> ModuleType:
@@ -64,6 +64,7 @@ class IpcConfig:
     gamma_ent: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.lam < 0:

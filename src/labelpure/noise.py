@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .data import FeatureMatrix, HardLabels
+from .errors import check_finite
 
 # Conventional similar-class map for the 10-class CIFAR layout:
 # truck->automobile, bird->airplane, deer->horse, cat<->dog.
@@ -38,6 +39,7 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.n < self.classes:

@@ -83,12 +83,12 @@ def purify(
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
 
-    # Hard labels and their count of correct rows for the truth accuracy of
-    # each record and of the summary, kept in step with Y: a ridge step changes
-    # only the batch rows, a replacement all of them.
+    # Hard labels for the truth accuracy of each record, kept in step with Y so
+    # that a record needs no full argmax: a ridge step changes only the batch
+    # rows, a replacement all of them.
     if truth is not None:
         pred = np.argmax(Y, axis=1)
-        correct = initial_correct = int(np.count_nonzero(pred == truth.values))
+        initial_accuracy = int(np.count_nonzero(pred == truth.values)) / n
 
     records: list[IterationRecord] = []
     start = time.perf_counter()
@@ -106,9 +106,7 @@ def purify(
                     grad_norm = float(np.linalg.norm(grad))
                     Y[idx] = y = ipc_step(y, grad, cfg.ipc.eta)
                     if truth is not None:
-                        new, t = np.argmax(y, axis=1), truth.values[idx]
-                        correct += int(np.count_nonzero(new == t)) - int(np.count_nonzero(pred[idx] == t))
-                        pred[idx] = new
+                        pred[idx] = np.argmax(y, axis=1)
                 did_replace = False
                 if cfg.use_eac:
                     eac_train_step(state, f, softmax(alpha * y), gamma_ent=cfg.eac.gamma_ent)
@@ -117,13 +115,12 @@ def purify(
                         did_replace = True
                         if truth is not None:
                             pred = np.argmax(Y, axis=1)
-                            correct = int(np.count_nonzero(pred == truth.values))
             except (NumericError, LinAlgError) as exc:
                 raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
             records.append(
                 IterationRecord(
-                    p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm,
-                    eac_update=did_replace, acc=None if truth is None else correct / n,
+                    p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm, eac_update=did_replace,
+                    acc=None if truth is None else int(np.count_nonzero(pred == truth.values)) / n,
                 )
             )
 
@@ -135,6 +132,6 @@ def purify(
         "wall_time_s": time.perf_counter() - start,
     }
     if truth is not None:
-        summary["initial_accuracy"] = initial_correct / n
-        summary["final_accuracy"] = correct / n
+        summary["initial_accuracy"] = initial_accuracy
+        summary["final_accuracy"] = records[-1].acc
     return FeatureMatrix(Y), HardLabels(np.argmax(Y, axis=1), c), CorrectionReport(records=records, summary=summary)

@@ -97,6 +97,17 @@ def test_retrain_ignores_alpha_with_hard_labels(tmp_path):
     ("purify", "--threads=abc", 'threads must be a positive integer such as "1", got "abc"'),
     ("retrain", "--threads=0", 'threads must be a positive integer such as "1", got "0"'),
     ("purify", "--threads=-1", 'threads must be a positive integer such as "1", got "-1"'),
+    ("purify", "--lambda=nan", "lam must be finite, got nan"),
+    ("purify", "--lambda=inf", "lam must be finite, got inf"),
+    ("purify", "--alpha=inf", "alpha must be finite, got inf"),
+    ("purify", "--eta-i=nan", "eta must be finite, got nan"),
+    ("purify", "--ipc-gamma-ent=inf", "gamma_ent must be finite, got inf"),
+    ("purify", "--eac-gamma-ent=nan", "gamma_ent must be finite, got nan"),
+    ("purify", "--eac-lr=inf", "lr must be finite, got inf"),
+    ("purify", "--eta-e=nan", "eta must be finite, got nan"),
+    ("retrain", "--lr=nan", "lr must be finite, got nan"),
+    ("retrain", "--lr=-inf", "lr must be finite, got -inf"),
+    ("retrain", "--alpha=inf", "alpha must be finite, got inf"),
 ])
 def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
     words = {
@@ -110,6 +121,28 @@ def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, mes
     args = [word if word.startswith("--") else str(tmp_path / word) for word in words]
     assert dispatch([command, *args, flag]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {message}\n"
+
+
+# Each case names one file twice. The check runs before any file is read or
+# written, so every file is left as it was and no manifest appears.
+@pytest.mark.parametrize("words, keys, name", [
+    (["corrupt", "--labels", "y.txt", "--ratio=0.4", "--out", "y.txt"], "labels and out", "y.txt"),
+    (["corrupt", "--labels", "y.txt", "--ratio=0.4", "--out", "sub/../y.txt"], "labels and out", "sub/../y.txt"),
+    (["report", "--in", "rep.jsonl", "--csv", "rep.jsonl"], "in and csv", "rep.jsonl"),
+    (["report", "--in", "rep.jsonl", "--csv", "rep.csv", "--manifest", "rep.jsonl"], "in and manifest", "rep.jsonl"),
+    ([
+        "purify", "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
+        "--out-labels", "pure.txt", "--report", "pure.txt",
+    ], "out_labels and report", "pure.txt"),
+])
+def test_file_options_naming_one_file_are_refused(words, keys, name, tmp_path, capsys):
+    for existing in ("y.txt", "rep.jsonl", "pure.txt"):
+        (tmp_path / existing).write_bytes(b"0\n1\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    args = [words[0]] + [w if w.startswith("--") else os.path.join(tmp_path, w) for w in words[1:]]
+    assert dispatch(args) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {keys} name the same file {os.path.join(tmp_path, name)}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_console_script_help():
@@ -931,6 +964,14 @@ def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     assert dispatch(["purify", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("wrote, command", [("synth", "corrupt"), ("retrain", "eval")])
+def test_manifest_of_another_command_is_refused(wrote, command, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": wrote, "config": _defaults(wrote)}))
+    assert dispatch([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: a manifest of {wrote}, not {command}\n"
 
 
 def test_config_takes_ints_for_float_keys_and_null_for_unset_keys(tmp_path):

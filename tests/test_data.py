@@ -353,10 +353,9 @@ def test_csv_loaders_error_messages(tmp_path, loader, text, message):
         loader(path)
 
 
-# load_hard_labels parses the whole text in one pass and falls back to a line
-# loop only to name a bad line. Both must read the same lines the same way:
-# the one-pass values, and the loop's line number of a bad label appended after
-# them, which it reaches only by accepting every line before it.
+# load_hard_labels reads the text line by line: each line form gives its
+# value, and a bad label appended after them is named by its line number,
+# which the loop reaches only by accepting every line before it.
 @pytest.mark.parametrize("text, values", [
     ("3\r\n1\r\n", [3, 1]),
     ("\n2\n\n\n0\n", [2, 0]),
@@ -373,6 +372,12 @@ def test_hard_labels_one_pass_and_line_loop_read_alike(tmp_path, text, values, b
     lineno = len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
     with pytest.raises(FormatError, match="^" + re.escape(f"{path}: line {lineno}: {message}") + "$"):
         load_hard_labels(path)
+
+
+def test_hard_labels_mixed_line_forms(tmp_path):
+    path = tmp_path / "y.txt"
+    path.write_bytes(b"\n 2 \r\n\r\n+3\r\n\t1\t\n\n0")
+    assert load_hard_labels(path).values.tolist() == [2, 3, 1, 0]
 
 
 def test_hard_labels_text_round_trip(tmp_path):

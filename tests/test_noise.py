@@ -168,6 +168,9 @@ def test_mixture_spec_validation():
         MixtureSpec(10, 0, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         MixtureSpec(10, 2, 2, 0.0, seed=0)
+    for separation in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^separation must be finite, got {separation}$"):
+            MixtureSpec(10, 2, 2, separation, seed=0)
     for n_val, n_test in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="split sizes must be nonnegative"):
             gen_gaussian_mixture_split(MixtureSpec(10, 2, 2, 1.0, seed=0), n_val, n_test)
