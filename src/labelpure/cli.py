@@ -447,8 +447,9 @@ def _cmd_retrain(cfg: dict) -> tuple:
     features = data.load_features(cfg["features"])
     inputs = {"features": cfg["features"]}
     if cfg["soft_logits"]:
-        logits = data.load_features(cfg["soft_logits"])
-        clf = train_linear_on_targets(features, data.softmax(cfg["alpha"] * logits.values), tconfig)
+        # Widened first: a Python float times a float32 array stays float32.
+        logits = data.load_features(cfg["soft_logits"]).values.astype(float)
+        clf = train_linear_on_targets(features, data.softmax(cfg["alpha"] * logits), tconfig)
         inputs["soft_logits"] = cfg["soft_logits"]
     else:
         _require(cfg, "labels")

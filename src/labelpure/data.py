@@ -17,8 +17,8 @@ MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIQI")  # magic, version, rows (u64), dim (u32)
 
-# Values per block when a feature matrix is checked, read or written a piece
-# at a time, so no temporary grows with the matrix (256 KiB of f32).
+# Values per block when a feature matrix is checked or written a piece at a
+# time, so no temporary grows with the matrix (256 KiB of f32).
 _CHUNK_VALUES = 1 << 16
 
 # Largest class index a label file may hold: labels are int64 arrays.
@@ -30,15 +30,20 @@ class FeatureMatrix:
     """N x d matrix of frozen per-sample embeddings (rows are samples); also
     the N x c label logits that ``purify`` returns.
 
-    A C-contiguous float64 input is not copied: ``values`` is a read-only
-    view of it, so the caller must not write to that array afterwards. Any
-    other dtype or layout is converted once.
+    A C-contiguous float64 or float32 input is not copied: ``values`` is a
+    read-only view of it, so the caller must not write to that array
+    afterwards. Any other dtype or layout is converted once to float64. A
+    float32 matrix stays float32, at half the bytes: consumers widen the rows
+    they use at that moment, so every product sees the same float64 values.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        v = np.asarray(self.values)
+        if v.dtype != np.float32 or not v.flags.c_contiguous:
+            v = np.ascontiguousarray(v, dtype=np.float64)
+        v = v.view()
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(
                 f"feature matrix must be 2-D with at least one row and one "
@@ -156,16 +161,30 @@ def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix to disk.
 
     The binary container stores IEEE-754 f32 values; matrices whose entries
-    are f32-representable round-trip bitwise.
+    are f32-representable round-trip bitwise. A finite value that rounds to
+    infinity in f32 raises ValueError naming its row and column, and the file
+    is removed: every reader would refuse it.
     """
+    path = Path(path)
     flat = matrix.values.reshape(-1)
     buf = np.empty(min(_CHUNK_VALUES, flat.size), dtype="<f4")
-    with Path(path).open("wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim))
-        for lo in range(0, flat.size, buf.size):
-            chunk = buf[: flat.size - lo]
-            np.copyto(chunk, flat[lo : lo + chunk.size], casting="same_kind")
-            fh.write(chunk)
+    try:
+        with path.open("wb") as fh, np.errstate(over="ignore"):
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.n, matrix.dim))
+            for lo in range(0, flat.size, buf.size):
+                chunk = buf[: flat.size - lo]
+                np.copyto(chunk, flat[lo : lo + chunk.size], casting="same_kind")
+                finite = np.isfinite(chunk)
+                if not finite.all():
+                    row, col = divmod(lo + int(np.argmin(finite)), matrix.dim)
+                    raise ValueError(
+                        f"{path}: value {matrix.values[row, col]!r} at row {row}, column {col} "
+                        f"is beyond the float32 range"
+                    )
+                fh.write(chunk)
+    except ValueError:
+        path.unlink()
+        raise
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
@@ -173,8 +192,9 @@ def load_features(path: str | Path) -> FeatureMatrix:
 
     Layout: magic ``DMLPFEAT``, u32 version, u64 row count, u32 dim (all
     little-endian), then rows*dim little-endian f32 values, row-major. The
-    header is checked against the file size, then one float64 matrix is
-    filled from f32 chunks; ``FeatureMatrix`` makes the one finiteness scan.
+    header is checked against the file size, then the payload is read
+    straight into one f32 matrix, which ``FeatureMatrix`` keeps without a
+    copy after its one finiteness scan.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -194,15 +214,11 @@ def load_features(path: str | Path) -> FeatureMatrix:
         total = rows * dim
         _check_payload_size(path, size - _HEADER.size, total * 4)
 
-        out = np.empty((rows, dim), dtype=np.float64)
+        out = np.empty((rows, dim), dtype="<f4")
         flat = out.reshape(-1)
-        buf = np.empty(min(_CHUNK_VALUES, total), dtype="<f4")
-        for lo in range(0, total, buf.size):
-            chunk = buf[: total - lo]
-            got = fh.readinto(chunk)
-            if got < chunk.nbytes:  # the file shrank after the size check
-                _check_payload_size(path, lo * 4 + got, total * 4)
-            flat[lo : lo + chunk.size] = chunk
+        got = fh.readinto(flat)
+        if got < flat.nbytes:  # the file shrank after the size check
+            _check_payload_size(path, got, total * 4)
         if fh.read(1):
             _check_payload_size(path, total * 4 + 1, total * 4)
     try:

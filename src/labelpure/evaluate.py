@@ -48,7 +48,8 @@ def train_linear_on_targets(
         perm = rng.permutation(features.n)
         for lo in range(0, features.n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
-            eac_train_step(state, np.take(F, idx, axis=0), np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
+            f = np.take(F, idx, axis=0).astype(np.float64, copy=False)
+            eac_train_step(state, f, np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
     return LinearClassifier(state.weights, state.bias)
 
 

@@ -75,8 +75,8 @@ def purify(
     if truth is not None and (len(truth) != n or truth.n_classes != c):
         raise ValueError("truth must match the noisy labels in length and classes")
 
-    F_t = features.values
-    F_v = val.features.values
+    F_t = features.values  # float32 or float64: each batch gather widens its rows
+    F_v = val.features.values.astype(np.float64, copy=False)
     Y_v = val.labels
     Y = one_hot(noisy)  # the one label buffer: ridge steps write its batch rows, replacements all of it
     state = TrainState(features.dim, c, cfg.eac.lr)
@@ -97,7 +97,7 @@ def purify(
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            f, y = np.take(F_t, idx, axis=0), np.take(Y, idx, axis=0)
+            f, y = np.take(F_t, idx, axis=0).astype(np.float64, copy=False), np.take(Y, idx, axis=0)
             p += 1
             val_loss = grad_norm = None
             try:

@@ -14,8 +14,8 @@ from labelpure import eac
 from labelpure.cli import (
     _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
 )
-from labelpure.data import load_features, load_hard_labels
-from labelpure.evaluate import load_classifier
+from labelpure.data import load_features, load_hard_labels, softmax
+from labelpure.evaluate import TrainConfig, load_classifier, train_linear_on_targets
 from labelpure.purifier import save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
 
@@ -404,6 +404,13 @@ def test_synth_is_deterministic(tmp_path):
     assert (tmp_path / "run1/y.txt").read_bytes() == (tmp_path / "run2/y.txt").read_bytes()
 
 
+def test_synth_refuses_features_beyond_float32_and_leaves_no_feature_file(tmp_path, capsys):
+    args = _synth_args(tmp_path, n=50, dim=4, classes=3, sep=1e39, seed=0, n_val=10, n_test=0)
+    assert dispatch(args) == 1
+    assert re.fullmatch(r"labelpure: error: \S+f\.bin: value .* is beyond the float32 range\n", capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())  # no feature, label or manifest file
+
+
 def test_flags_override_config_file(tmp_path):
     _synth(tmp_path, n=200, n_val=40, n_test=0)
     assert dispatch([
@@ -526,11 +533,17 @@ def test_retrain_soft_logits(tmp_path):
     ]) == 0
     assert dispatch([
         "retrain", "--features", str(tmp_path / "f.bin"),
-        "--soft-logits", str(tmp_path / "logits.bin"), "--alpha", "1.0",
+        "--soft-logits", str(tmp_path / "logits.bin"), "--alpha", "2.5",
         "--epochs", "30",
         "--out-model", str(tmp_path / "model.json"),
     ]) == 0
-    assert (tmp_path / "model.json").exists()
+    # The library path on float64 logits: the command widens the f32 logits
+    # it reads before scaling them, since 2.5 times a float32 array stays f32
+    # and rounds there (a power of two such as 2 would scale exactly).
+    logits = load_features(tmp_path / "logits.bin").values.astype(np.float64)
+    want = train_linear_on_targets(load_features(tmp_path / "f.bin"), softmax(2.5 * logits), TrainConfig(epochs=30))
+    got = load_classifier(tmp_path / "model.json")
+    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
 
 
 def test_eval_scores_rows_of_a_class_the_head_lacks_as_misses(tmp_path, capsys):

@@ -57,11 +57,14 @@ def test_feature_matrix_is_immutable():
         m.values[0, 0] = 5.0
 
 
-def test_feature_matrix_shares_float64_input_and_converts_the_rest():
+def test_feature_matrix_shares_float64_and_float32_input_and_converts_the_rest():
     values = np.arange(6.0).reshape(3, 2)
-    m = FeatureMatrix(values)
-    assert np.shares_memory(m.values, values) and values.flags.writeable
-    for other in (values.astype(np.float32), np.asfortranarray(values), values[:, ::-1], values.tolist()):
+    for shared in (values, values.astype(np.float32)):
+        m = FeatureMatrix(shared)
+        assert np.shares_memory(m.values, shared) and shared.flags.writeable and not m.values.flags.writeable
+        assert m.values.dtype == shared.dtype
+    small = values.astype(np.float32)
+    for other in (np.asfortranarray(values), values[:, ::-1], values.tolist(), np.asfortranarray(small), small[::2]):
         m = FeatureMatrix(other)
         assert not np.shares_memory(m.values, other)
         assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
@@ -222,15 +225,15 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
-def test_binary_load_converts_to_float64_once(tmp_path):
+def test_binary_load_reads_the_payload_into_one_f32_array(tmp_path):
     rng = np.random.default_rng(1)
     path = tmp_path / "f.bin"
     write_features(FeatureMatrix(rng.normal(size=(20000, 64)).astype(np.float32)), path)
     m, peak = _traced_peak(load_features, path)
-    assert m.values.dtype == np.float64
-    # One float64 result plus one f32 chunk and its finiteness mask; the whole
-    # file's bytes held beside the result would take the peak past 1.5x.
-    assert peak < 1.2 * m.values.nbytes, peak / m.values.nbytes
+    assert m.values.dtype == np.float32 and m.values.flags.c_contiguous
+    # One f32 result plus one block's finiteness mask; a chunk buffer or a
+    # float64 fill beside the result would take the peak past 1.05x.
+    assert peak < 1.05 * m.values.nbytes, peak / m.values.nbytes
 
 
 def test_binary_write_streams_f32_chunks(tmp_path):
@@ -240,6 +243,24 @@ def test_binary_write_streams_f32_chunks(tmp_path):
     assert peak < 0.25 * values.nbytes, peak / values.nbytes
     header = struct.pack("<8sIQI", b"DMLPFEAT", 1, 20000, 64)
     assert path.read_bytes() == header + values.astype("<f4").tobytes()
+
+
+def test_binary_write_refuses_values_beyond_float32_and_leaves_no_file(tmp_path):
+    path = tmp_path / "f.bin"
+    past_first_chunk = np.zeros((_CHUNK_VALUES // 4 + 3, 4))
+    past_first_chunk[-1, 2] = -1e39
+    for values, where in (
+        (np.array([[1.0, 1e39]]), "row 0, column 1"),
+        (past_first_chunk, f"row {_CHUNK_VALUES // 4 + 2}, column 2"),
+    ):
+        path.write_bytes(b"an older file")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: value .* at {where} is beyond the float32 range$"):
+            write_features(FeatureMatrix(values), path)
+        assert not path.exists()
+    # A value just above the f32 maximum rounds down to it, so it is written.
+    top = float(np.finfo(np.float32).max) * (1 + 2.0**-25)
+    write_features(FeatureMatrix(np.array([[top, -top]])), path)
+    assert load_features(path).values.tolist() == [[np.finfo(np.float32).max, -np.finfo(np.float32).max]]
 
 
 def test_binary_header_claiming_more_rows_than_the_file_holds(tmp_path):

@@ -64,6 +64,24 @@ def test_forward_matches_row_major_product_at_split_shapes(n, d, c):
     assert np.array_equal(np.argmax(out, axis=1), np.argmax(ref, axis=1))
 
 
+# The forward widens a float32 split one row chunk at a time. Its chunk edges
+# keep each chunk's product bitwise equal to its columns of the single float64
+# product; CI's two tier-1 steps check that under the runner's default OpenBLAS
+# kernel and under Haswell. A float64 split takes the same chunks and must give
+# the same bits.
+@pytest.mark.parametrize("c", [2, 5, 10])
+@pytest.mark.parametrize("d", [32, 512])
+@pytest.mark.parametrize("n", [2049, 4097, 20001])
+def test_forward_of_float32_rows_is_the_single_float64_product(n, d, c):
+    rng = np.random.default_rng(n * d + c)
+    clf = LinearClassifier(rng.normal(size=(d, c)), rng.normal(size=c))
+    F = rng.normal(size=(n, d)).astype(np.float32)
+    wide = F.astype(np.float64)
+    ref = (clf.weights.T @ wide.T + clf.bias[:, None]).T
+    assert np.array_equal(classifier_forward(clf, F), ref)
+    assert np.array_equal(classifier_forward(clf, wide), ref)
+
+
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
         classifier_forward(LinearClassifier(np.zeros((3, 2)), np.zeros(2)), np.ones((2, 4)))

@@ -54,6 +54,17 @@ def test_soft_targets_match_hard_training_on_one_hot():
     assert np.array_equal(a.bias, b.bias)
 
 
+def test_float32_features_train_and_score_as_their_float64_copy():
+    spec = MixtureSpec(3000, 12, 5, 3.0, seed=4)
+    (features, labels), _, _ = gen_gaussian_mixture_split(spec)
+    narrow = FeatureMatrix(features.values.astype(np.float32))
+    wide = FeatureMatrix(narrow.values.astype(np.float64))
+    cfg = TrainConfig(epochs=3, lr=0.05, seed=5)
+    a, b = train_linear_ce(narrow, labels, cfg), train_linear_ce(wide, labels, cfg)
+    assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    assert evaluate_classifier(a, narrow, labels) == evaluate_classifier(a, wide, labels)
+
+
 def test_training_is_deterministic():
     rng = np.random.default_rng(3)
     features = FeatureMatrix(rng.normal(size=(40, 5)))

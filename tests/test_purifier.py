@@ -186,6 +186,23 @@ def test_purify_is_deterministic():
     assert isinstance(logits_a, FeatureMatrix) and not logits_a.values.flags.writeable
 
 
+def test_float32_features_purify_to_the_bytes_of_their_float64_copy():
+    # 3000 rows, so each replacement's forward runs in more than one chunk.
+    features, truth, noisy, val = _small_problem(n=3000, d=8, n_val=30)
+    narrow = features.values.astype(np.float32), val.features.values.astype(np.float32)
+    runs = []
+    for dtype in (np.float32, np.float64):
+        f, vf = (FeatureMatrix(a.astype(dtype, copy=False)) for a in narrow)
+        assert f.values.dtype == vf.values.dtype == dtype
+        runs.append(purify(f, noisy, CleanValidationSet(vf, val.labels), _quick_config(batch_size=256), truth=truth))
+    (logits_a, hard_a, rep_a), (logits_b, hard_b, rep_b) = runs
+    assert logits_a.values.dtype == np.float64
+    assert logits_a.values.tobytes() == logits_b.values.tobytes()
+    assert np.array_equal(hard_a.values, hard_b.values)
+    assert rep_a.records == rep_b.records
+    assert {**rep_a.summary, "wall_time_s": 0} == {**rep_b.summary, "wall_time_s": 0}
+
+
 def test_validation_set_is_read_only_but_influences_result():
     features, _, noisy, val = _small_problem()
     before_feats = val.features.values.copy()
