@@ -165,8 +165,8 @@ def _load_config_file(path: str | Path, command: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a config must be a JSON object")
     version = data.get("version", 1)
-    if version != 1:
-        raise ValueError(f"{path}: unsupported config version {version}")
+    if type(version) is not int or version != 1:  # true == 1 and 1.0 == 1 in Python
+        raise ValueError(f"{path}: unsupported config version {json.dumps(version)}")
     for dotted, ran_with in _RETIRED_KEYS.get(command, {}).items():
         *parents, leaf = dotted.split(".")
         node = data
@@ -307,6 +307,8 @@ def _parse_class_map(text: str) -> dict[int, int]:
         if not part:
             continue
         try:
+            if not part.isascii() or "_" in part:  # int() reads '٣' as 3 and '1_0' as 10
+                raise ValueError
             src, dst = (int(side) for side in part.split(":"))
         except ValueError:
             raise ValueError(f"bad class map entry {part!r}, expected 'src:dst'") from None

@@ -247,11 +247,24 @@ def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
     Path(path).write_text("".join([f"{v}\n" for v in labels.values.tolist()]), encoding="utf-8")
 
 
+def _read_label_text(path: Path, refusal: str) -> str:
+    """The text of a label file. A line that holds a non-ASCII character or a
+    ``_`` is refused as ``refusal``, naming its line: ``int`` and ``float``
+    would read ``'٣'`` as 3 and ``'1_0'`` as 10. Two whole-text scans pass
+    the usual file without a line loop."""
+    text = read_text(path)
+    if not text.isascii() or "_" in text:
+        for lineno, line in enumerate(text.split("\n"), 1):
+            if not line.isascii() or "_" in line:
+                raise FormatError(f"{path}: line {lineno}: {refusal}: {line.strip()!r}")
+    return text
+
+
 def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabels:
     """Read a text label file; class count defaults to max index + 1."""
     path = Path(path)
     values = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(_read_label_text(path, "not a class index").split("\n"), 1):
         line = line.strip()
         if not line:
             continue
@@ -285,7 +298,7 @@ def load_onehot_csv(path: str | Path) -> np.ndarray:
     per row; blank lines are skipped."""
     path = Path(path)
     rows: list[list[float]] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(_read_label_text(path, "not a one-hot row").split("\n"), 1):
         line = line.strip()
         if not line:
             continue

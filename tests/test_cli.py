@@ -468,6 +468,8 @@ def test_corrupt_refuses_a_repeated_source_class(route, tmp_path, capsys):
 @pytest.mark.parametrize("class_map, message", [
     ("0-1", "bad class map entry '0-1', expected 'src:dst'"),
     (",", "empty class map"),
+    ("1_0:2,\u0663:1", "bad class map entry '1_0:2', expected 'src:dst'"),
+    ("0:1,\u0663:1", "bad class map entry '\u0663:1', expected 'src:dst'"),
 ])
 def test_corrupt_refuses_a_malformed_class_map(class_map, message, tmp_path, capsys):
     (tmp_path / "y.txt").write_text("0\n1\n" * 10)
@@ -954,6 +956,8 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     ({"purifier": {"eac": {"period": 2.5}}}, "purifier.eac.period must be int, got 2.5"),
     ({"features": 5}, "features must be str, got 5"),
     ({"version": 2}, "unsupported config version 2"),
+    ({"version": True}, "unsupported config version true"),
+    ({"version": 1.0}, "unsupported config version 1.0"),
 ])
 def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path, capsys):
     config = {

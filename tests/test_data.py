@@ -365,6 +365,11 @@ def test_binary_nonfinite_names_offset(tmp_path):
         (load_hard_labels, "1\n99999999999999999999\n", "line 2: class index 99999999999999999999 does not fit in int64"),
         (load_onehot_csv, "0,1\n\udcfe,0\n", "line 2: not UTF-8 text"),
         (load_hard_labels, "1\n\udcff\n", "line 2: not UTF-8 text"),
+        # int() and float() read non-ASCII digits and "_" digit groups as numbers.
+        (load_hard_labels, "1_0\n\u0663\n", "line 1: not a class index: '1_0'"),
+        (load_hard_labels, "0\n \u0663 \n", "line 2: not a class index: '\u0663'"),
+        (load_onehot_csv, "0,1\n\u0661,0\n", "line 2: not a one-hot row: '\u0661,0'"),
+        (load_onehot_csv, "0_0,1\n", "line 1: not a one-hot row: '0_0,1'"),
     ],
 )
 def test_csv_loaders_error_messages(tmp_path, loader, text, message):

@@ -245,16 +245,23 @@ def test_single_batch_when_batch_exceeds_n():
 # ---------------------------------------------------------------- memory
 
 
-@pytest.mark.parametrize("with_truth", [False, True], ids=["no-truth", "truth"])
-def test_purify_peak_stays_under_four_label_matrices(with_truth):
+@pytest.mark.parametrize("with_truth, dtype", [
+    pytest.param(False, np.float64, id="no-truth"),
+    pytest.param(True, np.float64, id="truth"),
+    pytest.param(False, np.float32, id="no-truth-float32"),
+    pytest.param(True, np.float32, id="truth-float32"),
+])
+def test_purify_peak_stays_under_four_label_matrices(with_truth, dtype):
     # The loop keeps one N x c label buffer and blends each replacement into
-    # the forward's own array, so its traced peak is 3.17 label matrices (3.26
+    # the forward's own array, so its traced peak is 3.25 label matrices (3.34
     # with truth). Blending into a new matrix and rebinding the buffer to it
-    # read 4.17 (4.26): a replacement then held the old and the new labels, the
-    # forward and two products.
+    # reads 4.17 (4.26): a replacement then holds the old and the new labels,
+    # the forward and two products. float32 features are widened a batch or a
+    # forward chunk at a time and read the same; widening the whole matrix to
+    # float64 reads 4.84 (4.94).
     n, d, c = 20000, 16, 10
     rng = np.random.default_rng(11)
-    features = FeatureMatrix(rng.normal(size=(n, d)))
+    features = FeatureMatrix(rng.normal(size=(n, d)).astype(dtype))
     noisy = HardLabels(rng.integers(0, c, size=n), c)
     truth = HardLabels(rng.integers(0, c, size=n), c) if with_truth else None
     val = CleanValidationSet(FeatureMatrix(rng.normal(size=(5 * c, d))), one_hot(HardLabels(np.arange(5 * c) % c, c)))
