@@ -61,8 +61,7 @@ _RETIRED_KEYS = {
 
 class _Opt(NamedTuple):
     """One flag and the config key it sets. ``default`` applies to top-level
-    keys only (nested ones come from the config dataclasses); ``dest``
-    overrides the argparse destination, and so the metavar, of the flag."""
+    keys only (nested ones come from the config dataclasses)."""
 
     flag: str
     key: str
@@ -71,19 +70,15 @@ class _Opt(NamedTuple):
     default: object = None
     required: bool = False
     choices: tuple[str, ...] | None = None
-    dest: str | None = None
 
 
 class _Command(NamedTuple):
     """``func`` maps the resolved config to ``(primary_output, inputs, outputs,
-    seeds)`` for the manifest; ``trees`` gives the nested default sub-trees.
-    Without ``replay`` there is no ``--config``, so argparse enforces the
-    required flags itself."""
+    seeds)`` for the manifest; ``trees`` gives the nested default sub-trees."""
 
     func: Callable[[dict], tuple]
     help: str
     options: tuple[_Opt, ...]
-    replay: bool = True
     trees: Callable[[], dict] | None = None
 
 
@@ -185,10 +180,6 @@ def _load_config_file(path: str | Path, command: str) -> dict:
     return data
 
 
-def _dest(opt: _Opt) -> str:
-    return opt.dest or opt.flag[2:].replace("-", "_")
-
-
 def _defaults(command: str) -> dict:
     cmd = _COMMANDS[command]
     cfg = {"version": 1, **{opt.key: opt.default for opt in cmd.options if "." not in opt.key}}
@@ -196,9 +187,9 @@ def _defaults(command: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The run's config: defaults < ``--config`` file < flags, with required keys checked."""
+    """The run's config, defaults < ``--config`` file < flags, with required keys and file names checked."""
     cmd = _COMMANDS[args.command]
-    source = getattr(args, "config", None)
+    source = args.config
     overlay = _load_config_file(source, args.command) if source else {}
     # Before _defaults: building the purify/retrain trees imports numpy.
     threads = getattr(args, "threads", None)
@@ -207,7 +198,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     _apply_threads(threads or overlay.get("threads"))
     cfg = _deep_update(_defaults(args.command), overlay, source, {opt.key: opt for opt in cmd.options})
     for opt in cmd.options:
-        value = getattr(args, _dest(opt))
+        value = getattr(args, opt.flag[2:].replace("-", "_"))
         if value is None:
             continue
         node = cfg
@@ -216,12 +207,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             node = node[key]
         node[leaf] = value
     _require(cfg, *(opt.key for opt in cmd.options if opt.required))
+    _check_distinct_files(cfg)
     return cfg
 
 
 def _check_distinct_files(cfg: dict) -> None:
     """Refuse two file options that name one file, so that no output replaces
-    an input or another output. Each handler calls it before it reads a file.
+    an input or another output; ``_resolve`` runs it before any file is read.
     Every top-level string key names a file, except those in ``_NOT_FILES``."""
     seen: dict[str, str] = {}
     for key, value in cfg.items():
@@ -262,7 +254,6 @@ _SYNTH_OPTIONS = (
 def _cmd_synth(cfg: dict) -> tuple:
     from . import data, noise
 
-    _check_distinct_files(cfg)
     if cfg["n_val"] > 0:
         _require(cfg, "out_val_features", "out_val_labels")
     if cfg["n_test"] > 0:
@@ -323,7 +314,6 @@ def _parse_class_map(text: str) -> dict[int, int]:
 def _cmd_corrupt(cfg: dict) -> tuple:
     from . import data, noise
 
-    _check_distinct_files(cfg)
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"])
@@ -355,7 +345,7 @@ _PURIFY_OPTIONS = (
     _Opt("--out-logits", "out_logits"),
     _Opt("--report", "report", help="JSON-lines iteration report"),
     _Opt("--alpha", "purifier.ipc.alpha", float, "softmax scaling of the label logits"),
-    _Opt("--lambda", "purifier.ipc.lam", float, "ridge coefficient", dest="lam"),
+    _Opt("--lambda", "purifier.ipc.lam", float, "ridge coefficient"),
     _Opt("--eta-i", "purifier.ipc.eta", float, "logit correction rate"),
     _Opt("--eta-e", "purifier.eac.eta", float, "replacement momentum (1 = replace outright)"),
     _Opt("--period", "purifier.eac.period", int, "iterations between label replacements"),
@@ -384,7 +374,6 @@ def _cmd_purify(cfg: dict) -> tuple:
     from .ipc import IpcConfig
     from .purifier import PurifierConfig, purify, save_report
 
-    _check_distinct_files(cfg)
     # The config first, so a bad value is refused before any input is read.
     tree = dict(cfg["purifier"])
     ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
@@ -440,7 +429,6 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from . import data
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
-    _check_distinct_files(cfg)
     tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
     if cfg["soft_logits"] and not math.isfinite(cfg["alpha"]):
         raise ValueError(f"alpha must be finite, got {cfg['alpha']}")
@@ -480,7 +468,6 @@ def _cmd_eval(cfg: dict) -> tuple:
     from . import data
     from .evaluate import evaluate_classifier, load_classifier
 
-    _check_distinct_files(cfg)
     clf = load_classifier(cfg["model"])
     features = data.load_features(cfg["features"])
     # Not the head's width: a head retrained on labels that lost the top class is
@@ -500,7 +487,7 @@ def _cmd_eval(cfg: dict) -> tuple:
 
 
 _REPORT_OPTIONS = (
-    _Opt("--in", "in", required=True, dest="inp"),
+    _Opt("--in", "in", required=True),
     _Opt("--csv", "csv", required=True),
     _Opt("--manifest", "manifest"),
 )
@@ -514,7 +501,6 @@ def _cmd_report(cfg: dict) -> tuple:
     def cell(value):
         return "" if value is None else int(value) if isinstance(value, bool) else value
 
-    _check_distinct_files(cfg)
     rep = load_report(cfg["in"])
     with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -535,7 +521,7 @@ _COMMANDS = {
     ),
     "retrain": _Command(_cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, trees=_train_tree),
     "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS),
-    "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS, replay=False),
+    "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS),
 }
 
 
@@ -545,14 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        if cmd.replay:
-            p.add_argument("--config", help=_REPLAY_HELP)
+        p.add_argument("--config", help=_REPLAY_HELP)
         for opt in cmd.options:
             if opt.type is bool:
                 kind = {"action": argparse.BooleanOptionalAction, "default": None}
             else:
                 kind = {"type": opt.type, "choices": opt.choices}
-            p.add_argument(opt.flag, dest=_dest(opt), help=opt.help, required=opt.required and not cmd.replay, **kind)
+            p.add_argument(opt.flag, help=opt.help, **kind)
     return parser
 
 

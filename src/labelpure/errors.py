@@ -4,6 +4,8 @@ file breaks, and the finiteness check of config fields."""
 import dataclasses
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 
@@ -46,8 +48,16 @@ def check_finite(config: object) -> None:
 
 def parse_json(text: str, path: object, line: int = 1) -> object:
     """``json.loads(text)``, where ``text`` starts on ``line`` of ``path``; a
-    syntax error raises FormatError naming the file, the line and the column."""
+    syntax error, or an integer with more digits than ``int`` converts, raises
+    FormatError naming the file, the line and the column."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {line + exc.lineno - 1}: {exc.msg}: column {exc.colno}") from None
+    except ValueError:  # only int()'s digit limit, which names no position: find the first such integer
+        limit = sys.get_int_max_str_digits()
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', text)  # strings and numbers
+        at = next(m.start() for m in tokens if m[0].lstrip("-").isdigit() and len(m[0].lstrip("-")) > limit)
+        line += text.count("\n", 0, at)
+        column = at - text.rfind("\n", 0, at)
+        raise FormatError(f"{path}: line {line}: integer with more than {limit} digits: column {column}") from None

@@ -80,20 +80,38 @@ def save_classifier(clf: LinearClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or a nest of JSON arrays of numbers,
+    walked without recursion, as the nesting may be as deep as JSON allows."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is list:
+            stack.extend(value)
+        elif type(value) not in (int, float):
+            return False
+    return True
+
+
 def load_classifier(path: str | Path) -> LinearClassifier:
     data = parse_json(read_text(path), path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
-    if data.get("version") != 1:
-        raise FormatError(f"{path}: unsupported classifier version {data.get('version')}")
+    version = data.get("version")
+    if type(version) is not int or version != 1:  # true == 1 and 1.0 == 1 in Python
+        raise FormatError(f"{path}: unsupported classifier version {json.dumps(version)}")
     arrays = []
     for key in ("weights", "bias"):
         if key not in data:
             raise FormatError(f"{path}: missing key '{key}'")
         try:
+            if not _json_numbers(data[key]):  # numpy would read "1.5" and true as numbers
+                raise ValueError
             arrays.append(np.asarray(data[key], dtype=np.float64))
-        except (TypeError, ValueError):
+        except ValueError:  # a value that is not a number, or rows of unequal length
             raise FormatError(f"{path}: {key} must be an array of numbers") from None
+        except OverflowError:
+            raise FormatError(f"{path}: {key} holds an integer beyond the float64 range") from None
     try:
         return LinearClassifier(*arrays)
     except ValueError as exc:  # shapes that do not fit together, or non-finite entries

@@ -259,10 +259,11 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     ('{"summary": {"a": 1}}\n\n{"summary": {"b": 2}}', "line 4: the summary on line 2 must be the last line"),
     ('{"summary": {}}\n' + _RECORD, "line 3: the summary on line 2 must be the last line"),
     ("\udcff{}", "line 2: not UTF-8 text"),
+    ('{"p": ' + "1" * 5000 + "}", "line 2: integer with more than 4300 digits: column 7"),
 ], ids=[
     "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
     "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary", "second-summary",
-    "record-after-summary", "not-utf-8",
+    "record-after-summary", "not-utf-8", "5000-digit-p",
 ])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"
@@ -380,6 +381,61 @@ def test_truth_flag_does_not_change_outputs(tmp_path):
     ]) == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def _tiny_pipeline(tmp_path):
+    """Each command's argv in a six-step pipeline, and its primary output."""
+    def t(name):
+        return str(tmp_path / name)
+    return {
+        "synth": (_synth_args(tmp_path, n=60, dim=4, classes=3, sep=6.0, seed=5, n_val=20, n_test=20), t("f.bin")),
+        "corrupt": (["corrupt", "--labels", t("y.txt"), "--ratio", "0.3", "--out", t("noisy.txt")], t("noisy.txt")),
+        "purify": ([
+            "purify", "--features", t("f.bin"), "--labels", t("noisy.txt"), "--val-features", t("vf.bin"),
+            "--val-labels", t("vy.csv"), "--epochs", "2", "--batch", "16", "--period", "2",
+            "--out-labels", t("pure.txt"), "--out-logits", t("logits.bin"), "--report", t("run.jsonl"),
+        ], t("pure.txt")),
+        "retrain": (["retrain", "--features", t("f.bin"), "--labels", t("pure.txt"), "--epochs", "2",
+                     "--out-model", t("m.json")], t("m.json")),
+        "eval": (["eval", "--model", t("m.json"), "--features", t("tf.bin"), "--labels", t("ty.txt"),
+                  "--out-json", t("acc.json")], t("acc.json")),
+        "report": (["report", "--in", t("run.jsonl"), "--csv", t("run.csv")], t("run.csv")),
+    }
+
+
+def _without_wall_time(path):
+    """A report's bytes with the summary's wall time, the one key no replay repeats, dropped."""
+    *records, summary = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    summary = json.loads(summary)
+    del summary["summary"]["wall_time_s"]
+    return "".join(records) + json.dumps(summary)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_replays_its_fresh_manifest(command, tmp_path):
+    for name, (args, primary) in _tiny_pipeline(tmp_path).items():
+        assert dispatch(args) == 0, name
+        if name == command:
+            break
+    manifest_path = f"{primary}.manifest.json"
+    first = _manifest(manifest_path)
+    assert primary in first["outputs"].values()
+
+    def outputs():
+        return {
+            name: _without_wall_time(path) if name == "report" else Path(path).read_bytes()
+            for name, path in first["outputs"].items()
+        }
+
+    before = outputs()
+    assert dispatch([command, "--config", manifest_path]) == 0
+    assert outputs() == before
+    assert {**_manifest(manifest_path), "created_utc": None} == {**first, "created_utc": None}
+
+
+def test_report_requires_its_input_as_the_other_commands_do(tmp_path, capsys):
+    assert dispatch(["report", "--csv", str(tmp_path / "rep.csv")]) == 1
+    assert capsys.readouterr().err == "labelpure: error: missing required option(s): --in\n"
 
 
 def test_synth_manifest_replay(tmp_path):
@@ -589,7 +645,7 @@ _OPTION_STRINGS = {
     "retrain": """--config --features --labels --soft-logits --alpha --epochs --batch --lr --seed
         --out-model --threads --manifest""",
     "eval": "--config --model --features --labels --out-json --threads --manifest",
-    "report": "--in --csv --manifest",
+    "report": "--config --in --csv --manifest",
 }
 
 
@@ -608,7 +664,7 @@ def test_option_strings_are_pinned():
 def test_every_replayable_command_has_the_same_config_help():
     for name, p in _subparsers().items():
         helps = [action.help for action in p._actions if "--config" in action.option_strings]
-        assert helps == ([_REPLAY_HELP] if _COMMANDS[name].replay else []), name
+        assert helps == [_REPLAY_HELP], name
 
 
 def _lookup(tree, dotted):
@@ -659,8 +715,8 @@ def _other_value(opt, current):
         return [opt.flag, next(c for c in opt.choices if c != current)]
     if opt.key == "threads":  # a string, but only of a positive integer
         return [opt.flag, str(int(current or 0) + 3)]
-    if opt.type is str:
-        return [opt.flag, f"{current}-other"]
+    if opt.type is str:  # a name of its own, which the same-file check takes
+        return [opt.flag, f"{current}-{opt.flag[2:]}"]
     return [opt.flag, str(opt.type((current or 0) + 3))]
 
 
@@ -893,7 +949,7 @@ def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, caps
 def test_retired_key_is_unknown_to_the_other_commands(dotted, tmp_path, capsys):
     replays, refused = _RETIRED[dotted]
     path = tmp_path / "cfg.json"
-    for command in (c for c, cmd in _COMMANDS.items() if cmd.replay and c != _RETIRED_OWNER[dotted]):
+    for command in (c for c in _COMMANDS if c != _RETIRED_OWNER[dotted]):
         for value in replays[:1] + refused[:1]:
             path.write_text(json.dumps({"version": 1, **_nested(dotted, value)}))
             assert dispatch([command, "--config", str(path)]) == 1, (command, value)
@@ -975,6 +1031,11 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
 ] + [
     pytest.param('{"version": 1,', "line 1: Expecting property name enclosed in double quotes: column 15", id="cut"),
     pytest.param("\udcff{}", "line 1: not UTF-8 text", id="not-utf-8"),
+    # int() refuses more than 4300 digits, and json.loads then names no position.
+    pytest.param('{"version": 1,\n "purifier": {"epochs": ' + "9" * 5000 + "}}",
+                 "line 2: integer with more than 4300 digits: column 25", id="5000-digit-int"),
+    pytest.param('{"features": "' + "9" * 5000 + '", "version": -' + "9" * 5000 + "}",
+                 "line 1: integer with more than 4300 digits: column 5029", id="5000-digit-int-after-digit-string"),
 ])
 def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path = tmp_path / "c.json"

@@ -370,6 +370,11 @@ def test_binary_nonfinite_names_offset(tmp_path):
         (load_hard_labels, "0\n \u0663 \n", "line 2: not a class index: '\u0663'"),
         (load_onehot_csv, "0,1\n\u0661,0\n", "line 2: not a one-hot row: '\u0661,0'"),
         (load_onehot_csv, "0_0,1\n", "line 1: not a one-hot row: '0_0,1'"),
+        # str.strip() takes the controls \x1c-\x1f for whitespace.
+        (load_hard_labels, "0\n\x1f3\x1c\n", "line 2: not a class index: '\\x1f3\\x1c'"),
+        (load_hard_labels, "0\n1\n\x00\n", "line 3: not a class index: '\\x00'"),
+        (load_hard_labels, " 2\x7f\n", "line 1: not a class index: '2\\x7f'"),
+        (load_onehot_csv, "0,1\n\x1e1,0\n", "line 2: not a one-hot row: '\\x1e1,0'"),
     ],
 )
 def test_csv_loaders_error_messages(tmp_path, loader, text, message):
@@ -388,6 +393,7 @@ def test_csv_loaders_error_messages(tmp_path, loader, text, message):
     ("  4 \n\t1\t\n", [4, 1]),
     ("+3\n0\n", [3, 0]),
     ("1\r2\r", [1, 2]),
+    ("\x0b5\x0c\n", [5]),  # vertical tab and form feed are ASCII whitespace
 ])
 @pytest.mark.parametrize("bad, message", [("x", "not a class index: 'x'"), ("-1", "negative class index -1")])
 def test_hard_labels_one_pass_and_line_loop_read_alike(tmp_path, text, values, bad, message):

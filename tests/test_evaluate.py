@@ -221,9 +221,12 @@ def test_classifier_round_trip(tmp_path):
 
 def test_classifier_version_check(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text('{"version": 2, "weights": [[0.0]], "bias": [0.0]}')
-    with pytest.raises(FormatError, match="unsupported classifier version 2"):
-        load_classifier(path)
+    # true == 1 and 1.0 == 1 in Python, but save_classifier writes the integer 1.
+    for version in ("2", "true", "1.0", "null"):
+        path.write_text(f'{{"version": {version}, "weights": [[0.0]], "bias": [0.0]}}')
+        with pytest.raises(FormatError) as exc:
+            load_classifier(path)
+        assert str(exc.value) == f"{path}: unsupported classifier version {version}"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -232,6 +235,15 @@ def test_classifier_version_check(tmp_path):
     ("[1, 2]", "a classifier must be a JSON object, got list"),
     ('{"version": 1, "weights": [["a"]], "bias": [0.0]}', "weights must be an array of numbers"),
     ('{"version": 1, "weights": [[0.0]], "bias": {"b": 0.0}}', "bias must be an array of numbers"),
+    # numpy reads a numeric string or a bool as a number; JSON does not.
+    ('{"version": 1, "weights": [[1.5], [true]], "bias": [0.0]}', "weights must be an array of numbers"),
+    ('{"version": 1, "weights": [["1.5"], [1.0]], "bias": [0.0]}', "weights must be an array of numbers"),
+    ('{"version": 1, "weights": [[1.5], [1.0]], "bias": ["0"]}', "bias must be an array of numbers"),
+    ('{"version": 1, "weights": [[1.0]], "bias": [null]}', "bias must be an array of numbers"),
+    pytest.param('{"version": 1, "weights": [[1' + "0" * 400 + ']], "bias": [0.0]}',
+                 "weights holds an integer beyond the float64 range", id="401-digit-weight"),
+    pytest.param('{"version": 1, "weights": [[' + "9" * 5000 + ']], "bias": [0.0]}',
+                 "line 1: integer with more than 4300 digits: column 29", id="5000-digit-weight"),
     ('{"version": 1, "weights": [[1.0, 2.0]], "bias": [0.0]}', "inconsistent classifier shapes (1, 2) / (1,)"),
     ('{"version": 1, "weights": [[NaN]], "bias": [0.0]}', "classifier parameters contain non-finite entries"),
     ('{"version": 1, "weights": [[0.0]], "bias"', "line 1: Expecting ':' delimiter: column 42"),
