@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
@@ -289,19 +290,21 @@ _CORRUPT_OPTIONS = (
     _Opt("--out", "out", required=True),
     _Opt("--manifest", "manifest"),
 )
+_CLASS_MAP_ENTRY = re.compile(r"([+-]?\d+)\s*:\s*([+-]?\d+)", re.ASCII)  # int() alone reads '٣' as 3, '1_0' as 10
 
 
 def _parse_class_map(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for part in text.split(","):
-        part = part.strip()
+        part = part.strip(" \t\n\r\x0b\x0c")  # ASCII whitespace only: str.strip() also takes \x1c-\x1f
         if not part:
             continue
+        entry = _CLASS_MAP_ENTRY.fullmatch(part)
         try:
-            if not part.isascii() or "_" in part:  # int() reads '٣' as 3 and '1_0' as 10
+            if entry is None:
                 raise ValueError
-            src, dst = (int(side) for side in part.split(":"))
-        except ValueError:
+            src, dst = int(entry[1]), int(entry[2])
+        except ValueError:  # not "src:dst", or more digits than int() converts
             raise ValueError(f"bad class map entry {part!r}, expected 'src:dst'") from None
         if src in out:
             raise ValueError(f"class map gives source class {src} twice")

@@ -49,11 +49,14 @@ def check_finite(config: object) -> None:
 def parse_json(text: str, path: object, line: int = 1) -> object:
     """``json.loads(text)``, where ``text`` starts on ``line`` of ``path``; a
     syntax error, or an integer with more digits than ``int`` converts, raises
-    FormatError naming the file, the line and the column."""
+    FormatError naming the file, the line and the column. A value nested deeper
+    than the decoder's recursion allows raises FormatError naming ``line``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {line + exc.lineno - 1}: {exc.msg}: column {exc.colno}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise FormatError(f"{path}: line {line}: JSON nested too deeply") from None
     except ValueError:  # only int()'s digit limit, which names no position: find the first such integer
         limit = sys.get_int_max_str_digits()
         tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', text)  # strings and numbers

@@ -57,8 +57,6 @@ def train_linear_ce(
     features: FeatureMatrix, labels: HardLabels, cfg: TrainConfig
 ) -> LinearClassifier:
     """Retrain a linear head with plain cross entropy on hard labels."""
-    if len(labels) != features.n:
-        raise ValueError(f"{features.n} feature rows vs {len(labels)} labels")
     return train_linear_on_targets(features, one_hot(labels), cfg)
 
 
@@ -80,19 +78,6 @@ def save_classifier(clf: LinearClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _json_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number or a nest of JSON arrays of numbers,
-    walked without recursion, as the nesting may be as deep as JSON allows."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if type(value) is list:
-            stack.extend(value)
-        elif type(value) not in (int, float):
-            return False
-    return True
-
-
 def load_classifier(path: str | Path) -> LinearClassifier:
     data = parse_json(read_text(path), path)
     if not isinstance(data, dict):
@@ -104,10 +89,12 @@ def load_classifier(path: str | Path) -> LinearClassifier:
     for key in ("weights", "bias"):
         if key not in data:
             raise FormatError(f"{path}: missing key '{key}'")
+        value = data[key]  # save_classifier writes weights as rows of numbers and bias as one row
+        rows = value if key == "weights" and type(value) is list else [value]
         try:
-            if not _json_numbers(data[key]):  # numpy would read "1.5" and true as numbers
-                raise ValueError
-            arrays.append(np.asarray(data[key], dtype=np.float64))
+            if not all(type(row) is list and all(type(x) in (int, float) for x in row) for row in rows):
+                raise ValueError  # numpy would also read "1.5", true and deeper nests as numbers
+            arrays.append(np.asarray(value, dtype=np.float64))
         except ValueError:  # a value that is not a number, or rows of unequal length
             raise FormatError(f"{path}: {key} must be an array of numbers") from None
         except OverflowError:

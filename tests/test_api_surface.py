@@ -1,7 +1,8 @@
 """The library's public surface is what the pipeline uses: every public
 top-level name of a ``labelpure`` module must be referenced somewhere in the
 package or the benchmark harness, outside its own definition. Reference code
-that only tests call belongs in ``tests/oracles.py``."""
+that only tests call belongs in ``tests/oracles.py``. Every private top-level
+name must be referenced in its own module, outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -10,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "labelpure"
 
 
-def _defined(tree: ast.Module) -> dict[str, ast.AST]:
-    """Public top-level functions, classes and assigned names, with their nodes."""
+def _defined(tree: ast.Module, private: bool = False) -> dict[str, ast.AST]:
+    """Public (or, with ``private``, single-underscore) top-level functions,
+    classes and assigned names, with their nodes."""
     out: dict[str, ast.AST] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -22,7 +24,7 @@ def _defined(tree: ast.Module) -> dict[str, ast.AST]:
             names = [node.target.id]
         else:
             continue
-        out.update((name, node) for name in names if not name.startswith("_"))
+        out.update((name, node) for name in names if name.startswith("_") == private and not name.startswith("__"))
     return out
 
 
@@ -56,5 +58,15 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
         elsewhere = set().union(*(names for path, names in used.items() if path != module))
         for name, node in _defined(trees[module]).items():
             if name not in elsewhere and name not in _referenced(trees[module], {id(node)}):
+                unused.append(f"{module.stem}.{name}")
+    assert unused == []
+
+
+def test_every_private_name_is_used_in_its_own_module():
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for name, node in _defined(tree, private=True).items():
+            if name not in _referenced(tree, {id(node)}):
                 unused.append(f"{module.stem}.{name}")
     assert unused == []

@@ -12,9 +12,10 @@ import pytest
 
 from labelpure import eac
 from labelpure.cli import (
-    _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, build_parser, dispatch
+    _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, _parse_class_map,
+    build_parser, dispatch
 )
-from labelpure.data import load_features, load_hard_labels, softmax
+from labelpure.data import FeatureMatrix, load_features, load_hard_labels, softmax, write_features
 from labelpure.evaluate import TrainConfig, load_classifier, train_linear_on_targets
 from labelpure.purifier import save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
@@ -90,6 +91,23 @@ def test_retrain_ignores_alpha_with_hard_labels(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("targets", ["labels", "soft-logits"])
+def test_retrain_refuses_targets_of_another_row_count(targets, tmp_path, capsys):
+    _synth(tmp_path, n=60, classes=4, n_val=0, n_test=0)
+    if targets == "labels":
+        (tmp_path / "t.txt").write_text("0\n1\n2\n3\n" * 10)
+        words = ["--labels", str(tmp_path / "t.txt")]
+    else:
+        write_features(FeatureMatrix(np.zeros((50, 4))), tmp_path / "t.bin")
+        words = ["--soft-logits", str(tmp_path / "t.bin")]
+    assert dispatch([
+        "retrain", "--features", str(tmp_path / "f.bin"), *words, "--out-model", str(tmp_path / "m.json"),
+    ]) == 1
+    rows = 40 if targets == "labels" else 50
+    assert capsys.readouterr().err == f"labelpure: error: 60 feature rows vs target shape ({rows}, 4)\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command, flag, message", [
     ("retrain", "--lr=-1", "lr must be nonnegative, got -1.0"),
     ("purify", "--lambda=-1", "lam must be nonnegative, got -1.0"),
@@ -104,6 +122,7 @@ def test_retrain_ignores_alpha_with_hard_labels(tmp_path):
     ("purify", "--ipc-gamma-ent=inf", "gamma_ent must be finite, got inf"),
     ("purify", "--eac-gamma-ent=nan", "gamma_ent must be finite, got nan"),
     ("purify", "--eac-lr=inf", "lr must be finite, got inf"),
+    ("purify", "--eac-lr=-1", "lr must be nonnegative, got -1.0"),
     ("purify", "--eta-e=nan", "eta must be finite, got nan"),
     ("retrain", "--lr=nan", "lr must be finite, got nan"),
     ("retrain", "--lr=-inf", "lr must be finite, got -inf"),
@@ -260,10 +279,11 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     ('{"summary": {}}\n' + _RECORD, "line 3: the summary on line 2 must be the last line"),
     ("\udcff{}", "line 2: not UTF-8 text"),
     ('{"p": ' + "1" * 5000 + "}", "line 2: integer with more than 4300 digits: column 7"),
+    ("[" * 100000, "line 2: JSON nested too deeply"),
 ], ids=[
     "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
     "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary", "second-summary",
-    "record-after-summary", "not-utf-8", "5000-digit-p",
+    "record-after-summary", "not-utf-8", "5000-digit-p", "100000-deep",
 ])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"
@@ -526,6 +546,15 @@ def test_corrupt_refuses_a_repeated_source_class(route, tmp_path, capsys):
     (",", "empty class map"),
     ("1_0:2,\u0663:1", "bad class map entry '1_0:2', expected 'src:dst'"),
     ("0:1,\u0663:1", "bad class map entry '\u0663:1', expected 'src:dst'"),
+    # str.strip() and int() take the controls \x1c-\x1f for whitespace; label files refuse them.
+    ("\x1c2:3\x1f,0:1", "bad class map entry '\\x1c2:3\\x1f', expected 'src:dst'"),
+    ("0:1,\x1c", "bad class map entry '\\x1c', expected 'src:dst'"),
+    ("0:1" + "0" * 5000, "bad class map entry '0:1" + "0" * 5000 + "', expected 'src:dst'"),
+    # A long whitespace run inside an entry is refused in linear time.
+    pytest.param("0:1,a" + " " * 100000 + "b", "bad class map entry 'a" + " " * 100000 + "b', expected 'src:dst'",
+                 id="100000-spaces-between-words"),
+    pytest.param("0:1,0" + " " * 100000 + "1", "bad class map entry '0" + " " * 100000 + "1', expected 'src:dst'",
+                 id="100000-spaces-between-indices"),
 ])
 def test_corrupt_refuses_a_malformed_class_map(class_map, message, tmp_path, capsys):
     (tmp_path / "y.txt").write_text("0\n1\n" * 10)
@@ -535,6 +564,27 @@ def test_corrupt_refuses_a_malformed_class_map(class_map, message, tmp_path, cap
     ]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {message}\n"
     assert not (tmp_path / "n.txt").exists()
+
+
+@pytest.mark.parametrize("class_map, parsed, resolved", [
+    (" 0 : 1 ,\t+2:03\n", {0: 1, 2: 3}, "0:1,2:3"),
+    (",0:1,", {0: 1}, "0:1"),
+    ("-1:2", {-1: 2}, None),
+])
+def test_corrupt_reads_a_class_map_with_signs_zeros_and_ascii_whitespace(class_map, parsed, resolved, tmp_path, capsys):
+    assert _parse_class_map(class_map) == parsed
+    (tmp_path / "y.txt").write_text("0\n1\n2\n3\n" * 10)
+    code = dispatch([
+        "corrupt", "--labels", str(tmp_path / "y.txt"), "--kind", "asymmetric",
+        "--ratio", "0.5", f"--map={class_map}", "--out", str(tmp_path / "n.txt"),  # "-1:2" alone reads as a flag
+    ])
+    if resolved is None:  # a negative index passes the grammar and is refused by inject_asymmetric
+        assert code == 1
+        assert capsys.readouterr().err == "labelpure: error: class map entry -1->2 has a negative index\n"
+        assert not (tmp_path / "n.txt").exists()
+    else:
+        assert code == 0
+        assert _manifest(tmp_path / "n.txt.manifest.json")["config"]["map"] == resolved
 
 
 def test_corrupt_asymmetric_default_map_needs_ten_classes(tmp_path):
@@ -1036,6 +1086,9 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
                  "line 2: integer with more than 4300 digits: column 25", id="5000-digit-int"),
     pytest.param('{"features": "' + "9" * 5000 + '", "version": -' + "9" * 5000 + "}",
                  "line 1: integer with more than 4300 digits: column 5029", id="5000-digit-int-after-digit-string"),
+    # json.loads recurses once per level and gives no position past its limit: the line is where the text starts.
+    pytest.param('{"version": 1,\n "purifier": ' + "[" * 100000 + "]" * 100000 + "}",
+                 "line 1: JSON nested too deeply", id="100000-deep-value"),
 ])
 def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path = tmp_path / "c.json"

@@ -91,6 +91,8 @@ def test_hard_labels_bounds():
         HardLabels(np.array([0, 3]), 3)
     with pytest.raises(ValueError):
         HardLabels(np.array([-1]), 3)
+    with pytest.raises(ValueError, match="n_classes must be >= 1, got 0"):
+        HardLabels(np.array([0]), 0)
 
 
 def test_validation_set_requires_one_hot():

@@ -249,6 +249,13 @@ def test_classifier_version_check(tmp_path):
     ('{"version": 1, "weights": [[0.0]], "bias"', "line 1: Expecting ':' delimiter: column 42"),
     ('{"version": 1,\n "weights": [[0.0]],\n "bias": [0.', "line 3: Expecting ',' delimiter: column 12"),
     ("\udcff{}", "line 1: not UTF-8 text"),
+    # save_classifier writes weights two levels deep and bias one level deep.
+    ('{"version": 1, "weights": [0.0], "bias": [0.0]}', "weights must be an array of numbers"),
+    ('{"version": 1, "weights": [[0.0]], "bias": [[0.0]]}', "bias must be an array of numbers"),
+    pytest.param('{"version": 1, "weights": [' + "[" * 500 + "]" * 500 + '], "bias": [0.0]}',
+                 "weights must be an array of numbers", id="500-deep-weights"),
+    pytest.param('{"version": 1, "weights": ' + "[" * 100000 + "]" * 100000 + ', "bias": [0.0]}',
+                 "line 1: JSON nested too deeply", id="100000-deep-weights"),
 ])
 def test_malformed_classifier_file_names_path_and_key(tmp_path, text, message):
     path = tmp_path / "model.json"
