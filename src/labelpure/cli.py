@@ -24,14 +24,13 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import parse_json, read_text
+from .errors import LABEL_TEXT, json_is, parse_json, read_text
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
@@ -74,19 +73,21 @@ class _Opt(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """``func`` maps the resolved config to ``(primary_output, inputs, outputs,
-    seeds)`` for the manifest; ``trees`` gives the nested default sub-trees."""
+    """``func`` maps the resolved config to ``(inputs, outputs, seeds)`` for the
+    manifest, which goes beside the output keyed ``primary`` unless
+    ``--manifest`` names it; ``trees`` gives the nested default sub-trees."""
 
     func: Callable[[dict], tuple]
     help: str
     options: tuple[_Opt, ...]
+    primary: str
     trees: Callable[[], dict] | None = None
 
 
 def _check_threads(value, where: str) -> None:
     """Refuse a thread count that is not a positive decimal integer. It stays a
     string, as manifests record it; OpenBLAS reads "abc" or "0" as every core."""
-    if value is not None and not (isinstance(value, str) and value.isascii() and value.isdigit() and int(value) > 0):
+    if value is not None and not (json_is(value, str) and value.isascii() and value.isdigit() and int(value) > 0):
         raise ValueError(f'{where} must be a positive integer such as "1", got {json.dumps(value)}')
 
 
@@ -121,17 +122,26 @@ def _write_manifest(path: str, command: str, config: dict, inputs: dict, outputs
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, prefix: str = "") -> dict:
-    """Overlay ``source``'s config on ``base``, which must have each of its keys,
-    with each value of the type its flag parses to (``options``, by key)."""
+def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, retired: dict, prefix: str = "") -> dict:
+    """Overlay ``source``'s config on ``base``, with each value of the type its
+    flag parses to (``options``, by key). A key ``base`` lacks is dropped if
+    ``retired`` (the command's ``_RETIRED_KEYS`` row) has it at that value."""
     for key, value in overlay.items():
         dotted = prefix + key
         if key not in base:
-            raise ValueError(f"{source}: unknown config key '{dotted}'")
+            if dotted not in retired:
+                raise ValueError(f"{source}: unknown config key '{dotted}'")
+            ran_with = retired[dotted]
+            if ran_with is not _ANY and not (json_is(value, type(ran_with)) and value == ran_with):
+                raise ValueError(
+                    f"{source}: {dotted} = {json.dumps(value)} is no longer configurable"
+                    f" (every run used {json.dumps(ran_with)})"
+                )
+            continue
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"{source}: {dotted} must be an object, got {json.dumps(value)}")
-            _deep_update(base[key], value, source, options, dotted + ".")
+            _deep_update(base[key], value, source, options, retired, dotted + ".")
             continue
         opt = options.get(dotted)
         if opt is not None:
@@ -142,11 +152,10 @@ def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, p
 
 def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
     """Refuse a config value its flag could not have produced. Keys unset by
-    default may be null; a float key takes an int, as JSON writes 1.0 as 1."""
+    default may be null."""
     if value is None and nullable:
         return
-    kinds = (int, float) if opt.type is float else opt.type
-    if value is None or not isinstance(value, kinds) or (isinstance(value, bool) and opt.type is not bool):
+    if not json_is(value, opt.type):
         raise ValueError(f"{where} must be {opt.type.__name__}, got {json.dumps(value)}")
     if opt.choices is not None and value not in opt.choices:
         raise ValueError(f"{where} must be one of {', '.join(opt.choices)}, got {json.dumps(value)}")
@@ -161,23 +170,8 @@ def _load_config_file(path: str | Path, command: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a config must be a JSON object")
     version = data.get("version", 1)
-    if type(version) is not int or version != 1:  # true == 1 and 1.0 == 1 in Python
+    if not (json_is(version, int) and version == 1):
         raise ValueError(f"{path}: unsupported config version {json.dumps(version)}")
-    for dotted, ran_with in _RETIRED_KEYS.get(command, {}).items():
-        *parents, leaf = dotted.split(".")
-        node = data
-        for key in parents:
-            node = node.get(key) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            continue  # absent, or _deep_update names the misplaced tree
-        value = node.pop(leaf)
-        # The type must match too: a bool key refuses 0 and an int key 1.0, while
-        # a float key takes an int, as JSON may write 1.0 as 1.
-        kinds = (float, int) if type(ran_with) is float else (type(ran_with),)
-        if ran_with is not _ANY and not (type(value) in kinds and value == ran_with):
-            raise ValueError(
-                f"{path}: {dotted} = {json.dumps(value)} is no longer configurable (every run used {json.dumps(ran_with)})"
-            )
     return data
 
 
@@ -187,8 +181,9 @@ def _defaults(command: str) -> dict:
     return {**cfg, **cmd.trees()} if cmd.trees else cfg
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """The run's config, defaults < ``--config`` file < flags, with required keys and file names checked."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
+    """The run's config, defaults < ``--config`` file < flags, with required
+    keys and file names checked, and the path its manifest goes to."""
     cmd = _COMMANDS[args.command]
     source = args.config
     overlay = _load_config_file(source, args.command) if source else {}
@@ -197,7 +192,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     _check_threads(overlay.get("threads"), f"{source}: threads")
     _check_threads(threads, "threads")
     _apply_threads(threads or overlay.get("threads"))
-    cfg = _deep_update(_defaults(args.command), overlay, source, {opt.key: opt for opt in cmd.options})
+    options = {opt.key: opt for opt in cmd.options}
+    cfg = _deep_update(_defaults(args.command), overlay, source, options, _RETIRED_KEYS.get(args.command, {}))
     for opt in cmd.options:
         value = getattr(args, opt.flag[2:].replace("-", "_"))
         if value is None:
@@ -208,14 +204,17 @@ def _resolve(args: argparse.Namespace) -> dict:
             node = node[key]
         node[leaf] = value
     _require(cfg, *(opt.key for opt in cmd.options if opt.required))
-    _check_distinct_files(cfg)
-    return cfg
+    primary = cfg[cmd.primary] or f"{cfg['model']}.eval"  # only eval's primary output, --out-json, is optional
+    manifest = cfg["manifest"] or f"{primary}.manifest.json"
+    _check_distinct_files({**cfg, "manifest": manifest})
+    return cfg, manifest
 
 
 def _check_distinct_files(cfg: dict) -> None:
     """Refuse two file options that name one file, so that no output replaces
-    an input or another output; ``_resolve`` runs it before any file is read.
-    Every top-level string key names a file, except those in ``_NOT_FILES``."""
+    an input or another output; ``_resolve`` runs it before any file is read,
+    with the manifest's path. Every top-level string key names a file, except
+    those in ``_NOT_FILES``."""
     seen: dict[str, str] = {}
     for key, value in cfg.items():
         if isinstance(value, str) and key not in _NOT_FILES:
@@ -274,7 +273,7 @@ def _cmd_synth(cfg: dict) -> tuple:
         data.write_hard_labels(test[1], cfg["out_test_labels"])
         outputs.update(test_features=cfg["out_test_features"], test_labels=cfg["out_test_labels"])
     print(f"synth: wrote {spec.n} samples ({spec.classes} classes, dim {spec.dim}) to {cfg['out_features']}")
-    return cfg["out_features"], {}, outputs, {"seed": cfg["seed"]}
+    return {}, outputs, {"seed": cfg["seed"]}
 
 
 # ---------------------------------------------------------------- corrupt
@@ -290,7 +289,6 @@ _CORRUPT_OPTIONS = (
     _Opt("--out", "out", required=True),
     _Opt("--manifest", "manifest"),
 )
-_CLASS_MAP_ENTRY = re.compile(r"([+-]?\d+)\s*:\s*([+-]?\d+)", re.ASCII)  # int() alone reads '٣' as 3, '1_0' as 10
 
 
 def _parse_class_map(text: str) -> dict[int, int]:
@@ -299,12 +297,11 @@ def _parse_class_map(text: str) -> dict[int, int]:
         part = part.strip(" \t\n\r\x0b\x0c")  # ASCII whitespace only: str.strip() also takes \x1c-\x1f
         if not part:
             continue
-        entry = _CLASS_MAP_ENTRY.fullmatch(part)
         try:
-            if entry is None:
+            if not LABEL_TEXT.fullmatch(part):
                 raise ValueError
-            src, dst = int(entry[1]), int(entry[2])
-        except ValueError:  # not "src:dst", or more digits than int() converts
+            src, dst = map(int, part.split(":"))
+        except ValueError:  # a character label files refuse, not "src:dst", or more digits than int() converts
             raise ValueError(f"bad class map entry {part!r}, expected 'src:dst'") from None
         if src in out:
             raise ValueError(f"class map gives source class {src} twice")
@@ -332,7 +329,7 @@ def _cmd_corrupt(cfg: dict) -> tuple:
     data.write_hard_labels(noisy, cfg["out"])
     changed = float((noisy.values != labels.values).mean())
     print(f"corrupt: flipped {changed:.1%} of {len(labels)} labels -> {cfg['out']}")
-    return cfg["out"], {"labels": cfg["labels"]}, {"labels": cfg["out"]}, {"seed": cfg["seed"]}
+    return {"labels": cfg["labels"]}, {"labels": cfg["out"]}, {"seed": cfg["seed"]}
 
 
 # ---------------------------------------------------------------- purify
@@ -401,7 +398,7 @@ def _cmd_purify(cfg: dict) -> tuple:
     if "final_accuracy" in rep.summary:
         tail = f", accuracy {rep.summary['initial_accuracy']:.4f} -> {rep.summary['final_accuracy']:.4f}"
     print(f"purify: {rep.summary['iterations']} iterations{tail} -> {cfg['out_labels']}")
-    return cfg["out_labels"], inputs, outputs, {"shuffle_seed": cfg["purifier"]["shuffle_seed"]}
+    return inputs, outputs, {"shuffle_seed": cfg["purifier"]["shuffle_seed"]}
 
 
 # ---------------------------------------------------------------- retrain
@@ -451,7 +448,7 @@ def _cmd_retrain(cfg: dict) -> tuple:
         inputs["labels"] = cfg["labels"]
     save_classifier(clf, cfg["out_model"])
     print(f"retrain: {features.n} samples -> {cfg['out_model']}")
-    return cfg["out_model"], inputs, {"model": cfg["out_model"]}, {"seed": cfg["train"]["seed"]}
+    return inputs, {"model": cfg["out_model"]}, {"seed": cfg["train"]["seed"]}
 
 
 # ---------------------------------------------------------------- eval
@@ -483,7 +480,7 @@ def _cmd_eval(cfg: dict) -> tuple:
         Path(cfg["out_json"]).write_text(json.dumps(metrics) + "\n", encoding="utf-8")
         outputs["metrics"] = cfg["out_json"]
     inputs = {"model": cfg["model"], "features": cfg["features"], "labels": cfg["labels"]}
-    return cfg["out_json"] or f"{cfg['model']}.eval", inputs, outputs, {}
+    return inputs, outputs, {}
 
 
 # ---------------------------------------------------------------- report
@@ -502,7 +499,7 @@ def _cmd_report(cfg: dict) -> tuple:
     from .report import IterationRecord, load_report
 
     def cell(value):
-        return "" if value is None else int(value) if isinstance(value, bool) else value
+        return "" if value is None else int(value) if json_is(value, bool) else value
 
     rep = load_report(cfg["in"])
     with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
@@ -510,21 +507,23 @@ def _cmd_report(cfg: dict) -> tuple:
         writer.writerow([f.name for f in fields(IterationRecord)])
         writer.writerows([cell(v) for v in astuple(rec)] for rec in rep.records)
     print(f"report: {len(rep.records)} records -> {cfg['csv']}")
-    return cfg["csv"], {"report": cfg["in"]}, {"csv": cfg["csv"]}, {}
+    return {"report": cfg["in"]}, {"csv": cfg["csv"]}, {}
 
 
 # ---------------------------------------------------------------- parser
 
 
 _COMMANDS = {
-    "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS),
-    "corrupt": _Command(_cmd_corrupt, "inject label noise into a labels file", _CORRUPT_OPTIONS),
+    "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS, "out_features"),
+    "corrupt": _Command(_cmd_corrupt, "inject label noise into a labels file", _CORRUPT_OPTIONS, "out"),
     "purify": _Command(
-        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, trees=_purifier_tree
+        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, "out_labels", _purifier_tree
     ),
-    "retrain": _Command(_cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, trees=_train_tree),
-    "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS),
-    "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS),
+    "retrain": _Command(
+        _cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, "out_model", _train_tree
+    ),
+    "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS, "out_json"),
+    "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS, "csv"),
 }
 
 
@@ -555,10 +554,8 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = _resolve(args)
-        primary, inputs, outputs, seeds = _COMMANDS[args.command].func(cfg)
-        manifest = cfg.get("manifest") or f"{primary}.manifest.json"
-        _write_manifest(manifest, args.command, cfg, inputs, outputs, seeds)
+        cfg, manifest = _resolve(args)
+        _write_manifest(manifest, args.command, cfg, *_COMMANDS[args.command].func(cfg))
         return 0
     except Exception as exc:
         print(f"labelpure: error: {exc}", file=sys.stderr)

@@ -5,14 +5,13 @@ softmax that turns an N x c matrix of label logits into soft labels.
 from __future__ import annotations
 
 import os
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, read_text
+from .errors import LABEL_TEXT, FormatError, read_text
 
 MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
@@ -24,10 +23,6 @@ _CHUNK_VALUES = 1 << 16
 
 # Largest class index a label file may hold: labels are int64 arrays.
 _MAX_INDEX = int(np.iinfo(np.int64).max)
-
-# The characters a label file may hold: ASCII whitespace and the printable
-# ASCII characters other than "_".
-_LABEL_TEXT = re.compile(r"[\t\n\x0b\x0c\r\x20-\x5e\x60-\x7e]*")
 
 
 @dataclass(frozen=True)
@@ -254,12 +249,10 @@ def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
 
 def _read_label_text(path: Path, refusal: str) -> str:
     """The text of a label file. A line that holds a character outside
-    ``_LABEL_TEXT`` is refused as ``refusal``, naming its line: ``int`` and
-    ``float`` would read ``'٣'`` as 3 and ``'1_0'`` as 10, and ``str.strip``
-    takes the controls ``\\x1c``-``\\x1f`` for whitespace. One scan passes
+    ``LABEL_TEXT`` is refused as ``refusal``, naming its line. One scan passes
     the usual file."""
     text = read_text(path)
-    at = _LABEL_TEXT.match(text).end()
+    at = LABEL_TEXT.match(text).end()
     if at < len(text):
         lineno = text.count("\n", 0, at) + 1
         line = text.split("\n")[lineno - 1].strip(" \t\n\r\x0b\x0c")  # ASCII whitespace only

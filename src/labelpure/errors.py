@@ -1,5 +1,7 @@
 """Shared exception types, the text read and JSON parse that name where a
-file breaks, and the finiteness check of config fields."""
+file breaks, the characters a hand-written index may hold, the kind test of
+a JSON value, and the finiteness check of config fields. Standard library
+only, so the command line can check its inputs before numpy loads."""
 
 import dataclasses
 import json
@@ -7,6 +9,11 @@ import math
 import re
 import sys
 from pathlib import Path
+
+# The characters a label file or class map may hold: ASCII whitespace and the
+# printable ASCII characters other than "_". int() alone reads '٣' as 3 and
+# '1_0' as 10, and str.strip() takes the controls \x1c-\x1f for whitespace.
+LABEL_TEXT = re.compile(r"[\t\n\x0b\x0c\r\x20-\x5e\x60-\x7e]*")
 
 
 class FormatError(ValueError):
@@ -38,6 +45,12 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def json_is(value: object, kind: type) -> bool:
+    """Whether a parsed JSON ``value`` is of ``kind`` exactly: true is no
+    integer, while a float takes an integer, as JSON may write 1.0 as 1."""
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def check_finite(config: object) -> None:
     """Refuse a dataclass whose float fields hold a NaN or an infinity."""
     for f in dataclasses.fields(config):
@@ -50,17 +63,25 @@ def parse_json(text: str, path: object, line: int = 1) -> object:
     """``json.loads(text)``, where ``text`` starts on ``line`` of ``path``; a
     syntax error, or an integer with more digits than ``int`` converts, raises
     FormatError naming the file, the line and the column. A value nested deeper
-    than the decoder's recursion allows raises FormatError naming ``line``."""
+    than the decoder's recursion allows raises FormatError naming the line on
+    which the text first reaches its deepest nesting."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {line + exc.lineno - 1}: {exc.msg}: column {exc.colno}") from None
-    except RecursionError:  # the decoder recurses once per nested array or object
-        raise FormatError(f"{path}: line {line}: JSON nested too deeply") from None
-    except ValueError:  # only int()'s digit limit, which names no position: find the first such integer
-        limit = sys.get_int_max_str_digits()
-        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', text)  # strings and numbers
-        at = next(m.start() for m in tokens if m[0].lstrip("-").isdigit() and len(m[0].lstrip("-")) > limit)
+    except (RecursionError, ValueError) as exc:  # neither names a position: scan strings, numbers and brackets
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[][{}]', text)
+        if isinstance(exc, RecursionError):  # the decoder recurses once per nested array or object
+            depth = deepest = at = 0
+            for m in tokens:
+                depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(m[0], 0)
+                if depth > deepest:
+                    deepest, at = depth, m.start()
+            problem = "JSON nested too deeply"
+        else:  # only int()'s digit limit: find the first such integer
+            limit = sys.get_int_max_str_digits()
+            at = next(m.start() for m in tokens if m[0].lstrip("-").isdigit() and len(m[0].lstrip("-")) > limit)
+            column = at - text.rfind("\n", 0, at)
+            problem = f"integer with more than {limit} digits: column {column}"
         line += text.count("\n", 0, at)
-        column = at - text.rfind("\n", 0, at)
-        raise FormatError(f"{path}: line {line}: integer with more than {limit} digits: column {column}") from None
+        raise FormatError(f"{path}: line {line}: {problem}") from None

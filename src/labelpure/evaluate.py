@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
-from .errors import FormatError, check_finite, parse_json, read_text
+from .errors import FormatError, check_finite, json_is, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,16 @@ def load_classifier(path: str | Path) -> LinearClassifier:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: a classifier must be a JSON object, got {type(data).__name__}")
     version = data.get("version")
-    if type(version) is not int or version != 1:  # true == 1 and 1.0 == 1 in Python
+    if not (json_is(version, int) and version == 1):  # true == 1 and 1.0 == 1 in Python
         raise FormatError(f"{path}: unsupported classifier version {json.dumps(version)}")
     arrays = []
     for key in ("weights", "bias"):
         if key not in data:
             raise FormatError(f"{path}: missing key '{key}'")
         value = data[key]  # save_classifier writes weights as rows of numbers and bias as one row
-        rows = value if key == "weights" and type(value) is list else [value]
+        rows = value if key == "weights" and json_is(value, list) else [value]
         try:
-            if not all(type(row) is list and all(type(x) in (int, float) for x in row) for row in rows):
+            if not all(json_is(row, list) and all(json_is(x, float) for x in row) for row in rows):
                 raise ValueError  # numpy would also read "1.5", true and deeper nests as numbers
             arrays.append(np.asarray(value, dtype=np.float64))
         except ValueError:  # a value that is not a number, or rows of unequal length

@@ -10,15 +10,15 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import FormatError, parse_json, read_text
+from .errors import FormatError, json_is, parse_json, read_text
 
 REPORT_SCHEMA = 1
 
-# A record field's JSON types by its annotation, matched exactly: true is no integer.
+# A record field's JSON kinds by its annotation.
 _JSON_KINDS = {
     "int": ((int,), "an integer"),
     "bool": ((bool,), "true or false"),
-    "float | None": ((int, float, type(None)), "a number or null"),
+    "float | None": ((float, type(None)), "a number or null"),
 }
 
 
@@ -87,7 +87,7 @@ def load_report(path: str | Path) -> CorrectionReport:
             raise FormatError(f"{path}: line {lineno}: missing record field(s) {', '.join(missing)}")
         for key, value in row.items():
             types, what = kinds[key]
-            if type(value) not in types:
+            if not any(json_is(value, kind) for kind in types):
                 raise FormatError(f"{path}: line {lineno}: {key} must be {what}, got {json.dumps(value)}")
         records.append(IterationRecord(**row))
     if summary is None:

@@ -5,7 +5,8 @@ library's analytic paths; the ridge minimizer sees only loss gradients, the
 finite-difference oracles drive public forward computations alone, the primal
 reference builds the ridge operator explicitly, the reference loops use a
 row-major softmax and a functional Adam step that returns fresh arrays, and
-the reference mixture generator concatenates per-class blocks.
+the reference mixture generator concatenates per-class blocks, and the
+reference class-map parser reads each entry with one regular expression.
 
 The first section holds the decomposed forms the oracles are compared
 through: the ridge fit, its predictions and the validation loss, the
@@ -18,6 +19,7 @@ so checking these against the oracles checks those library paths too.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,3 +424,30 @@ def reference_gaussian_mixture_split(spec: MixtureSpec, n_val: int = 0, n_test: 
         perm = rng.permutation(size)
         out.append((FeatureMatrix(feats[perm]), HardLabels(labs[perm], spec.classes)))
     return tuple(out)
+
+
+# One class-map entry: two ASCII decimal indices with an optional sign, around a
+# colon, with ASCII whitespace around each part.
+CLASS_MAP_ENTRY = re.compile(r"([+-]?\d+)\s*:\s*([+-]?\d+)", re.ASCII)
+
+
+def reference_parse_class_map(text: str) -> dict[int, int]:
+    """``cli._parse_class_map`` by ``CLASS_MAP_ENTRY``, with its refusals."""
+    out: dict[int, int] = {}
+    for part in text.split(","):
+        part = part.strip(" \t\n\r\x0b\x0c")
+        if not part:
+            continue
+        entry = CLASS_MAP_ENTRY.fullmatch(part)
+        try:
+            if entry is None:
+                raise ValueError
+            src, dst = int(entry[1]), int(entry[2])
+        except ValueError:  # no match, or more digits than int() converts
+            raise ValueError(f"bad class map entry {part!r}, expected 'src:dst'") from None
+        if src in out:
+            raise ValueError(f"class map gives source class {src} twice")
+        out[src] = dst
+    if not out:
+        raise ValueError("empty class map")
+    return out

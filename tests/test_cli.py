@@ -9,16 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelpure import eac
+from labelpure import cli, eac
 from labelpure.cli import (
-    _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _load_config_file, _parse_class_map,
-    build_parser, dispatch
+    _COMMANDS, _REPLAY_HELP, _RETIRED_KEYS, _THREAD_ENV_VARS, _defaults, _parse_class_map, _resolve, build_parser,
+    dispatch
 )
 from labelpure.data import FeatureMatrix, load_features, load_hard_labels, softmax, write_features
 from labelpure.evaluate import TrainConfig, load_classifier, train_linear_on_targets
 from labelpure.purifier import save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
+
+from oracles import reference_parse_class_map
 
 
 def _manifest(path):
@@ -153,9 +157,16 @@ def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, mes
         "purify", "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
         "--out-labels", "pure.txt", "--report", "pure.txt",
     ], "out_labels and report", "pure.txt"),
+    # The manifest goes beside the primary output unless --manifest names it.
+    ([
+        "purify", "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
+        "--out-labels", "pure.txt", "--out-logits", "pure.txt.manifest.json",
+    ], "out_logits and manifest", "pure.txt.manifest.json"),
+    (["corrupt", "--labels", "noisy.txt.manifest.json", "--ratio=0.4", "--out", "noisy.txt"],
+     "labels and manifest", "noisy.txt.manifest.json"),
 ])
 def test_file_options_naming_one_file_are_refused(words, keys, name, tmp_path, capsys):
-    for existing in ("y.txt", "rep.jsonl", "pure.txt"):
+    for existing in ("y.txt", "rep.jsonl", "pure.txt", "noisy.txt.manifest.json"):
         (tmp_path / existing).write_bytes(b"0\n1\n")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     args = [words[0]] + [w if w.startswith("--") else os.path.join(tmp_path, w) for w in words[1:]]
@@ -587,6 +598,23 @@ def test_corrupt_reads_a_class_map_with_signs_zeros_and_ascii_whitespace(class_m
         assert _manifest(tmp_path / "n.txt.manifest.json")["config"]["map"] == resolved
 
 
+# Indices, signs, separators, "_", ASCII whitespace, the controls str.strip() takes,
+# non-ASCII spaces, an Arabic-Indic digit and a letter.
+_CLASS_MAP_PIECES = list("0123456789+-:,_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\x85\u3000\u0663a") + ["12", "0:1", "3:05"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_CLASS_MAP_PIECES), max_size=16).map("".join))
+def test_class_map_grammar_matches_its_reference_pattern(text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(_parse_class_map) == outcome(reference_parse_class_map)
+
+
 def test_corrupt_asymmetric_default_map_needs_ten_classes(tmp_path):
     (tmp_path / "y.txt").write_text("0\n1\n2\n")
     code = dispatch([
@@ -770,26 +798,28 @@ def _other_value(opt, current):
     return [opt.flag, str(opt.type((current or 0) + 3))]
 
 
+# No file is read or written: the handler is stubbed, and each manifest's path
+# and config are recorded instead.
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_each_flag_sets_exactly_its_key_in_the_manifest(command, tmp_path, monkeypatch):
+def test_each_flag_sets_exactly_its_key_in_the_manifest(command, monkeypatch):
     cmd = _COMMANDS[command]
-    primary = tmp_path / "primary"
-    monkeypatch.setitem(_COMMANDS, command, cmd._replace(func=lambda cfg: (str(primary), {}, {}, {})))
+    monkeypatch.setitem(_COMMANDS, command, cmd._replace(func=lambda cfg: ({}, {}, {})))
+    written = []
+    monkeypatch.setattr(cli, "_write_manifest", lambda path, _, config, *rest: written.append((path, config)))
     defaults = _defaults(command)
     base = [command]
     for opt in cmd.options:
         if opt.required:
             base += _other_value(opt, defaults[opt.key])
     assert dispatch(base) == 0
-    before = _flatten(_manifest(f"{primary}.manifest.json")["config"])
+    before = _flatten(written.pop()[1])
     for opt in cmd.options:
-        if opt.key == "manifest":
-            words = [opt.flag, str(tmp_path / "elsewhere.json")]
-        else:
-            words = _other_value(opt, before[opt.key])
+        words = _other_value(opt, before[opt.key])
         assert dispatch(base + words) == 0
-        written = words[1] if opt.key == "manifest" else f"{primary}.manifest.json"
-        after = _flatten(_manifest(written)["config"])
+        path, config = written.pop()
+        if opt.key == "manifest":
+            assert path == words[1]
+        after = _flatten(config)
         changed = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
         assert changed == {opt.key}, opt.flag
 
@@ -985,12 +1015,32 @@ def test_retired_adam_key_replays_only_at_its_constant(tree, key, tmp_path, caps
         path.write_text(json.dumps({"version": 1, **_nested(dotted, value)}))
         return path
 
+    def resolved(*words):  # required options as flags, so the config resolves in full; no file is read
+        required = [f"{opt.flag}={opt.key if opt.type is str else 1}" for opt in _COMMANDS[command].options if opt.required]
+        return _resolve(build_parser().parse_args([command, *words, *required]))
+
     replays, refused = _RETIRED[dotted]
-    for value in replays:
-        assert _flatten(_load_config_file(config(value), command)) == {"version": 1}
+    for value in replays:  # dropped: the config resolves as if the key were absent
+        assert resolved("--config", str(config(value))) == resolved()
     for value in refused:
         assert dispatch([command, "--config", str(config(value))]) == 1
         assert f"{dotted} = {json.dumps(value)} is no longer configurable" in capsys.readouterr().err
+
+
+def test_replayed_manifest_drops_a_retired_key_and_keeps_its_neighbour(tmp_path):
+    _synth(tmp_path, n=60, n_val=20, n_test=0)
+    assert dispatch([
+        "purify", "--features", str(tmp_path / "f.bin"), "--labels", str(tmp_path / "y.txt"),
+        "--val-features", str(tmp_path / "vf.bin"), "--val-labels", str(tmp_path / "vy.csv"),
+        "--epochs", "1", "--out-labels", str(tmp_path / "pure.txt"),
+    ]) == 0
+    manifest = _manifest(tmp_path / "pure.txt.manifest.json")
+    manifest["config"]["purifier"]["eac"].update(beta1=0.9, eta=0.5)  # as an older release wrote it
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    assert dispatch(["purify", "--config", str(tmp_path / "old.json")]) == 0
+    replayed = _manifest(tmp_path / "pure.txt.manifest.json")["config"]["purifier"]["eac"]
+    assert replayed["eta"] == 0.5
+    assert "beta1" not in replayed
 
 
 # A retired key replays only for the command that wrote it: to any other it is
@@ -1086,9 +1136,10 @@ def test_mistyped_config_value_exits_one_naming_its_key(tree, message, tmp_path,
                  "line 2: integer with more than 4300 digits: column 25", id="5000-digit-int"),
     pytest.param('{"features": "' + "9" * 5000 + '", "version": -' + "9" * 5000 + "}",
                  "line 1: integer with more than 4300 digits: column 5029", id="5000-digit-int-after-digit-string"),
-    # json.loads recurses once per level and gives no position past its limit: the line is where the text starts.
+    # json.loads recurses once per level and gives no position past its limit: the line is where the text first
+    # reaches its deepest nesting.
     pytest.param('{"version": 1,\n "purifier": ' + "[" * 100000 + "]" * 100000 + "}",
-                 "line 1: JSON nested too deeply", id="100000-deep-value"),
+                 "line 2: JSON nested too deeply", id="100000-deep-value"),
 ])
 def test_non_object_config_exits_one(text, message, tmp_path, capsys):
     path = tmp_path / "c.json"

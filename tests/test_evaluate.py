@@ -256,6 +256,8 @@ def test_classifier_version_check(tmp_path):
                  "weights must be an array of numbers", id="500-deep-weights"),
     pytest.param('{"version": 1, "weights": ' + "[" * 100000 + "]" * 100000 + ', "bias": [0.0]}',
                  "line 1: JSON nested too deeply", id="100000-deep-weights"),
+    pytest.param('{"version": 1,\n "weights": ' + "[" * 100000 + "]" * 100000 + ',\n "bias": [0.0]}',
+                 "line 2: JSON nested too deeply", id="100000-deep-weights-on-line-2"),
 ])
 def test_malformed_classifier_file_names_path_and_key(tmp_path, text, message):
     path = tmp_path / "model.json"
