@@ -161,9 +161,10 @@ def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
         raise ValueError(f"{where} must be one of {', '.join(opt.choices)}, got {json.dumps(value)}")
 
 
-def _load_config_file(path: str | Path, command: str) -> dict:
+def _load_config_file(path: str | Path, command: str) -> tuple[dict, bool]:
     data = parse_json(read_text(path), path)
-    if isinstance(data, dict) and "command" in data and "config" in data:  # a manifest: replay its config
+    replay = isinstance(data, dict) and "command" in data and "config" in data
+    if replay:  # a manifest: replay its config
         if data["command"] != command:
             raise ValueError(f"{path}: a manifest of {data['command']}, not {command}")
         data = data["config"]
@@ -172,7 +173,7 @@ def _load_config_file(path: str | Path, command: str) -> dict:
     version = data.get("version", 1)
     if not (json_is(version, int) and version == 1):
         raise ValueError(f"{path}: unsupported config version {json.dumps(version)}")
-    return data
+    return data, replay
 
 
 def _defaults(command: str) -> dict:
@@ -186,7 +187,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
     keys and file names checked, and the path its manifest goes to."""
     cmd = _COMMANDS[args.command]
     source = args.config
-    overlay = _load_config_file(source, args.command) if source else {}
+    overlay, replay = _load_config_file(source, args.command) if source else ({}, False)
     # Before _defaults: building the purify/retrain trees imports numpy.
     threads = getattr(args, "threads", None)
     _check_threads(overlay.get("threads"), f"{source}: threads")
@@ -206,15 +207,16 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
     _require(cfg, *(opt.key for opt in cmd.options if opt.required))
     primary = cfg[cmd.primary] or f"{cfg['model']}.eval"  # only eval's primary output, --out-json, is optional
     manifest = cfg["manifest"] or f"{primary}.manifest.json"
-    _check_distinct_files({**cfg, "manifest": manifest})
+    rewrite = replay and os.path.realpath(source) == os.path.realpath(manifest)  # a replay rewrites itself
+    _check_distinct_files({"config": None if rewrite else source, **cfg, "manifest": manifest})
     return cfg, manifest
 
 
 def _check_distinct_files(cfg: dict) -> None:
     """Refuse two file options that name one file, so that no output replaces
-    an input or another output; ``_resolve`` runs it before any file is read,
-    with the manifest's path. Every top-level string key names a file, except
-    those in ``_NOT_FILES``."""
+    an input or another output; ``_resolve`` runs it before any file but the
+    config is read, with the config's and manifest's paths. Every top-level
+    string key names a file, except those in ``_NOT_FILES``."""
     seen: dict[str, str] = {}
     for key, value in cfg.items():
         if isinstance(value, str) and key not in _NOT_FILES:

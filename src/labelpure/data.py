@@ -153,8 +153,11 @@ def softmax_entropy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return logq, q, h, -q * (logq + h[:, None])
 
 
-def one_hot(labels: HardLabels) -> np.ndarray:
-    return np.eye(labels.n_classes, dtype=np.float64)[labels.values]
+def one_hot(labels: HardLabels, order: str = "C") -> np.ndarray:
+    """The N x c float64 one-hot matrix; ``order="F"`` lays it out class-major."""
+    out = np.zeros((len(labels), labels.n_classes), order=order)
+    out[np.arange(len(labels)), labels.values] = 1.0
+    return out
 
 
 def write_features(matrix: FeatureMatrix, path: str | Path) -> None:

@@ -83,18 +83,25 @@ class TrainState:
         self.grad = np.zeros_like(self.params)
 
 
+def row_chunks(n: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` row ranges that tile ``[0, n)``. Every chunk starts at
+    a multiple of 2048 rows and the last one absorbs a remainder under 1024
+    rows: under the SkylakeX and Haswell kernels that keeps each chunk's
+    product bitwise equal to its columns of the single product, where short
+    tails, unaligned starts or 1024-row chunks are not."""
+    edges = [*range(0, max(1, n - 1024), 2048), n]
+    return list(zip(edges, edges[1:]))
+
+
 def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.ndarray:
     """Class logits for each feature row, as an n x c view of the class-major
     product ``weights.T @ F.T`` (c x n): on splits of thousands of rows
     OpenBLAS's SkylakeX kernel runs it faster than ``F @ weights``, to the
     same bits, and other kernels about as fast.
 
-    The product is formed a row chunk at a time, so a float32 ``F`` is
-    widened only a chunk at a time. Every chunk starts at a multiple of 2048
-    rows and the last one absorbs a remainder under 1024 rows: under the
-    SkylakeX and Haswell kernels that keeps each chunk's product bitwise equal
-    to its columns of the single product, where short tails, unaligned starts
-    or 1024-row chunks are not.
+    The product is formed one ``row_chunks`` range at a time, so a float32
+    ``F`` is widened only a chunk at a time. A range is one chunk of its own
+    rows, so their forward is bitwise those rows of the full one.
     """
     F = np.asarray(F)
     dim = clf.weights.shape[0]
@@ -102,8 +109,7 @@ def classifier_forward(clf: LinearClassifier | TrainState, F: np.ndarray) -> np.
         raise ValueError(f"feature dim {F.shape[-1]} does not match classifier dim {dim}")
     n = F.shape[0]
     logits = np.empty((clf.weights.shape[1], n))
-    edges = [*range(0, max(1, n - 1024), 2048), n]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in row_chunks(n):
         np.matmul(clf.weights.T, F[lo:hi].astype(np.float64, copy=False).T, out=logits[:, lo:hi])
     logits += clf.bias[:, None]
     return logits.T
@@ -157,11 +163,11 @@ def eac_label_update(Y_t: np.ndarray, logits_all: np.ndarray, eta: float) -> np.
     """Momentum blend of label logits with classifier logits: (1-eta) Y + eta C.
 
     The blend is written into ``logits_all``, which is returned; ``Y_t`` is
-    left as it was. The loop hands in a fresh forward it does not read again,
-    so a replacement allocates one N x c temporary, not three. Each product is
-    the one the out-of-place sum forms, and IEEE addition commutes, so the
-    result is bitwise that sum's. The loop passes same-shape float64 arrays
-    and ``EacConfig`` checked ``eta``.
+    left as it was. The loop hands in one ``row_chunks`` range of the labels
+    and a fresh forward of those rows, so a replacement's temporaries are
+    chunk-sized. Each product is the one the out-of-place sum forms, and IEEE
+    addition commutes, so the result is bitwise that sum's. The loop passes
+    same-shape float64 arrays and ``EacConfig`` checked ``eta``.
     """
     logits_all *= eta
     logits_all += (1.0 - eta) * Y_t

@@ -57,7 +57,7 @@ def train_linear_ce(
     features: FeatureMatrix, labels: HardLabels, cfg: TrainConfig
 ) -> LinearClassifier:
     """Retrain a linear head with plain cross entropy on hard labels."""
-    return train_linear_on_targets(features, one_hot(labels), cfg)
+    return train_linear_on_targets(features, one_hot(labels, order="F"), cfg)
 
 
 def evaluate_classifier(clf: LinearClassifier, features: FeatureMatrix, y: HardLabels) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax
-from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step
+from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step, row_chunks
 from .errors import NumericError
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
 
@@ -78,14 +78,14 @@ def purify(
     F_t = features.values  # float32 or float64: each batch gather widens its rows
     F_v = val.features.values.astype(np.float64, copy=False)
     Y_v = val.labels
-    Y = one_hot(noisy)  # the one label buffer: ridge steps write its batch rows, replacements all of it
+    Y = one_hot(noisy)  # the one N x c buffer: ridge steps write its batch rows, replacements a chunk at a time
     state = TrainState(features.dim, c, cfg.eac.lr)
     rng = np.random.default_rng(cfg.shuffle_seed)
     alpha = cfg.ipc.alpha
 
     # Hard labels for the truth accuracy of each record, kept in step with Y so
     # that a record needs no full argmax: a ridge step changes only the batch
-    # rows, a replacement all of them.
+    # rows, a replacement each chunk's.
     if truth is not None:
         pred = np.argmax(Y, axis=1)
         initial_accuracy = int(np.count_nonzero(pred == truth.values)) / n
@@ -111,10 +111,11 @@ def purify(
                 if cfg.use_eac:
                     eac_train_step(state, f, softmax(alpha * y), gamma_ent=cfg.eac.gamma_ent)
                     if p % cfg.eac.period == 0:
-                        Y[...] = eac_label_update(Y, classifier_forward(state, F_t), cfg.eac.eta)
+                        for lo, hi in row_chunks(n):
+                            Y[lo:hi] = eac_label_update(Y[lo:hi], classifier_forward(state, F_t[lo:hi]), cfg.eac.eta)
+                            if truth is not None:
+                                pred[lo:hi] = np.argmax(Y[lo:hi], axis=1)
                         did_replace = True
-                        if truth is not None:
-                            pred = np.argmax(Y, axis=1)
             except (NumericError, LinAlgError) as exc:
                 raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
             records.append(

@@ -164,10 +164,15 @@ def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, mes
     ], "out_logits and manifest", "pure.txt.manifest.json"),
     (["corrupt", "--labels", "noisy.txt.manifest.json", "--ratio=0.4", "--out", "noisy.txt"],
      "labels and manifest", "noisy.txt.manifest.json"),
+    # The --config file is an input too; only a manifest may be rewritten by its own replay.
+    (["corrupt", "--config", "c.json", "--labels", "y.txt", "--ratio=0.4", "--out", "c.json"], "config and out", "c.json"),
+    (["corrupt", "--config", "c.json", "--labels", "y.txt", "--ratio=0.4", "--out", "noisy.txt", "--manifest", "c.json"],
+     "config and manifest", "c.json"),
 ])
 def test_file_options_naming_one_file_are_refused(words, keys, name, tmp_path, capsys):
     for existing in ("y.txt", "rep.jsonl", "pure.txt", "noisy.txt.manifest.json"):
         (tmp_path / existing).write_bytes(b"0\n1\n")
+    (tmp_path / "c.json").write_text('{"version": 1}')
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     args = [words[0]] + [w if w.startswith("--") else os.path.join(tmp_path, w) for w in words[1:]]
     assert dispatch(args) == 1

@@ -111,6 +111,15 @@ def test_validation_set_requires_one_hot():
 # ---------------------------------------------------------------- conversions
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_hot_allocates_only_its_matrix(order):
+    labels = HardLabels(np.array([3999, 0, 17, 3999, 5, 1, 2, 2, 0, 42]), 4000)
+    out, peak = _traced_peak(one_hot, labels, order)
+    assert peak < 2 * out.nbytes  # indexing np.eye(4000) allocates 128 MB
+    assert out.flags[f"{order}_CONTIGUOUS"] and out.dtype == np.float64
+    assert out.tobytes("C") == (labels.values[:, None] == np.arange(4000)).astype(np.float64).tobytes()
+
+
 def test_effective_labels_uniform_row():
     out = softmax(np.zeros((1, 3)))
     assert np.allclose(out, 1.0 / 3.0, atol=1e-12)

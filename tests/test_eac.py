@@ -3,7 +3,15 @@ import numpy as np
 import pytest
 
 from labelpure.data import HardLabels, log_softmax, one_hot, softmax
-from labelpure.eac import EacConfig, LinearClassifier, TrainState, classifier_forward, eac_label_update, eac_train_step
+from labelpure.eac import (
+    EacConfig,
+    LinearClassifier,
+    TrainState,
+    classifier_forward,
+    eac_label_update,
+    eac_train_step,
+    row_chunks,
+)
 from labelpure.errors import NumericError
 
 from oracles import (
@@ -80,6 +88,31 @@ def test_forward_of_float32_rows_is_the_single_float64_product(n, d, c):
     ref = (clf.weights.T @ wide.T + clf.bias[:, None]).T
     assert np.array_equal(classifier_forward(clf, F), ref)
     assert np.array_equal(classifier_forward(clf, wide), ref)
+
+
+# purify replaces labels one row_chunks range at a time: each range's forward
+# must be those rows of the full forward, bit for bit, and the ranges must tile
+# the rows, so the blended labels are those of one full-N replacement.
+def test_replacement_by_row_chunks_is_the_full_replacement():
+    n, d, c, eta = 7000, 32, 10, 0.3
+    rng = np.random.default_rng(27)
+    state = TrainState(d, c)
+    state.params[:] = rng.normal(size=state.params.shape)
+    F = rng.normal(size=(n, d)).astype(np.float32)
+    Y = rng.normal(size=(n, c))
+    assert [lo for lo, _ in row_chunks(n)] + [n] == [0, 2048, 4096, 7000]
+    full = classifier_forward(state, F)
+    want = eac_label_update(Y, full.copy(), eta)
+    for lo, hi in row_chunks(n):
+        chunk = classifier_forward(state, F[lo:hi])
+        assert chunk.tobytes() == full[lo:hi].tobytes()
+        Y[lo:hi] = eac_label_update(Y[lo:hi], chunk, eta)
+    assert Y.tobytes() == want.tobytes()
+    for m in (1, 1024, 1025, 2048, 3071, 3072, 4097, 20001):
+        chunks = row_chunks(m)
+        assert chunks[0][0] == 0 and chunks[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(row_chunks(hi - lo) == [(0, hi - lo)] for lo, hi in chunks)
 
 
 def test_forward_dim_mismatch():

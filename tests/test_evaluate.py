@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ def test_float32_features_train_and_score_as_their_float64_copy():
     a, b = train_linear_ce(narrow, labels, cfg), train_linear_ce(wide, labels, cfg)
     assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
     assert evaluate_classifier(a, narrow, labels) == evaluate_classifier(a, wide, labels)
+
+
+def test_retraining_peak_stays_under_two_label_matrices():
+    # The one-hot targets are scattered straight into one class-major matrix,
+    # so retraining's traced peak is 1.21 label matrices at purify's memory
+    # test shape; a row-major one-hot and a class-major copy of it read 2.21.
+    n, d, c = 20000, 16, 10
+    rng = np.random.default_rng(11)
+    features = FeatureMatrix(rng.normal(size=(n, d)))
+    labels = HardLabels(rng.integers(0, c, size=n), c)
+    tracemalloc.start()
+    try:
+        train_linear_ce(features, labels, TrainConfig(epochs=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    label_matrices = peak / (n * c * 8)
+    assert label_matrices < 1.6, label_matrices
 
 
 def test_training_is_deterministic():

@@ -252,13 +252,13 @@ def test_single_batch_when_batch_exceeds_n():
     pytest.param(True, np.float32, id="truth-float32"),
 ])
 def test_purify_peak_stays_under_four_label_matrices(with_truth, dtype):
-    # The loop keeps one N x c label buffer and blends each replacement into
-    # the forward's own array, so its traced peak is 3.25 label matrices (3.34
-    # with truth). Blending into a new matrix and rebinding the buffer to it
-    # reads 4.17 (4.26): a replacement then holds the old and the new labels,
-    # the forward and two products. float32 features are widened a batch or a
-    # forward chunk at a time and read the same; widening the whole matrix to
-    # float64 reads 4.84 (4.94).
+    # The loop keeps one N x c label buffer, and a replacement forms and blends
+    # one 2048-row forward chunk at a time, so its traced peak is 1.45 label
+    # matrices (1.55 with truth). A full-N forward blended into its own array
+    # reads 3.25 (3.34); blending that into a new matrix and rebinding the
+    # buffer to it reads 4.17 (4.26). float32 features are widened a batch or
+    # a forward chunk at a time and read the same; widening the whole matrix to
+    # float64 reads 4.84 (4.94) with full-N replacements.
     n, d, c = 20000, 16, 10
     rng = np.random.default_rng(11)
     features = FeatureMatrix(rng.normal(size=(n, d)).astype(dtype))
@@ -273,7 +273,7 @@ def test_purify_peak_stays_under_four_label_matrices(with_truth, dtype):
     finally:
         tracemalloc.stop()
     label_matrices = peak / (n * c * 8)
-    assert label_matrices < 3.75, label_matrices
+    assert label_matrices < 2.0, label_matrices
 
 
 # ---------------------------------------------------------------- errors
