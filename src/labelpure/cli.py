@@ -428,7 +428,10 @@ def _train_tree() -> dict:
 
 
 def _cmd_retrain(cfg: dict) -> tuple:
+    import numpy as np
+
     from . import data
+    from .eac import row_chunks
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
     tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
@@ -439,9 +442,13 @@ def _cmd_retrain(cfg: dict) -> tuple:
     features = data.load_features(cfg["features"])
     inputs = {"features": cfg["features"]}
     if cfg["soft_logits"]:
-        # Widened first: a Python float times a float32 array stays float32.
-        logits = data.load_features(cfg["soft_logits"]).values.astype(float)
-        clf = train_linear_on_targets(features, data.softmax(cfg["alpha"] * logits), tconfig)
+        logits = data.load_features(cfg["soft_logits"]).values
+        # Class-major, filled a row chunk at a time: the softmax is per row, so
+        # bitwise. Widened first, as a Python float times float32 stays float32.
+        targets = np.empty(logits.shape, order="F")
+        for lo, hi in row_chunks(len(logits)):
+            targets[lo:hi] = data.softmax(cfg["alpha"] * logits[lo:hi].astype(float))
+        clf = train_linear_on_targets(features, targets, tconfig)
         inputs["soft_logits"] = cfg["soft_logits"]
     else:
         _require(cfg, "labels")

@@ -246,8 +246,11 @@ def _check_payload_size(path: Path, have: int, expected: int) -> None:
 
 
 def write_hard_labels(labels: HardLabels, path: str | Path) -> None:
-    """Write labels as text, one decimal class index per line."""
-    Path(path).write_text("".join([f"{v}\n" for v in labels.values.tolist()]), encoding="utf-8")
+    """Write labels as text, one decimal class index per line. The text goes
+    out 2048 labels at a time, so no list of N strings is ever built."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for lo in range(0, len(labels), 2048):
+            fh.write("".join([f"{v}\n" for v in labels.values[lo : lo + 2048].tolist()]))
 
 
 def _read_label_text(path: Path, refusal: str) -> str:

@@ -22,11 +22,10 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import ModuleType
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from .data import softmax, softmax_entropy
@@ -34,17 +33,24 @@ from .errors import NumericError, check_finite
 
 
 def _load_flapack() -> ModuleType:
-    """scipy's f2py LAPACK extension, loaded without the ``scipy.linalg``
-    package init, which imports every linalg submodule. It goes into
-    sys.modules under its own name, or is taken from there, so a later
+    """scipy's f2py LAPACK extension, loaded without the package init of
+    ``scipy`` or ``scipy.linalg`` (which imports every linalg submodule). Only
+    if that bare load fails is ``scipy`` imported, as its Windows wheels make
+    their DLLs loadable there, and the load tried once more. The module goes
+    into sys.modules under its own name, or is taken from there, so a later
     ``import scipy.linalg`` holds this very module."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    spec = PathFinder.find_spec(name, [os.path.join(path, "linalg") for path in scipy.__path__])
+    package = find_spec("scipy")
+    spec = package and PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in package.submodule_search_locations])
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension {name} is missing", name=name)
-    module = module_from_spec(spec)
+    try:
+        module = module_from_spec(spec)
+    except ImportError:
+        import scipy  # noqa: F401
+        module = module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,7 +328,8 @@ def test_report_command_loads_neither_numpy_nor_scipy(tmp_path):
 
 def test_pipeline_commands_never_load_scipy_linalg(tmp_path):
     """synth, corrupt, retrain and eval load numpy alone; purify adds scipy's
-    LAPACK extension but not the scipy.linalg package around it."""
+    LAPACK extension but neither the scipy nor the scipy.linalg package
+    around it."""
     commands = [
         _synth_args(tmp_path, n=200, dim=8, classes=3, sep=8.0, seed=1, n_val=30, n_test=30),
         ["corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.3", "--out", str(tmp_path / "noisy.txt")],
@@ -350,7 +352,7 @@ def test_pipeline_commands_never_load_scipy_linalg(tmp_path):
     assert out.returncode == 0, out.stderr
     assert [line for line in out.stdout.splitlines() if line.startswith("loaded:")] == [
         "loaded: synth 0 []", "loaded: corrupt 0 []", "loaded: retrain 0 []", "loaded: eval 0 []",
-        "loaded: purify 0 ['scipy']",
+        "loaded: purify 0 []",
     ]
 
 
@@ -685,6 +687,46 @@ def test_retrain_soft_logits(tmp_path):
     want = train_linear_on_targets(load_features(tmp_path / "f.bin"), softmax(2.5 * logits), TrainConfig(epochs=30))
     got = load_classifier(tmp_path / "model.json")
     assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
+
+
+def test_retrain_soft_logits_in_row_chunks_is_the_one_shot_softmax(tmp_path):
+    # 7000 rows are the chunks [0, 2048), [2048, 4096) and [4096, 7000).
+    n, d, c = 7000, 4, 12
+    rng = np.random.default_rng(13)
+    features = FeatureMatrix(rng.normal(size=(n, d)).astype(np.float32))
+    logits = FeatureMatrix((4.0 * rng.normal(size=(n, c))).astype(np.float32))
+    write_features(features, tmp_path / "f.bin")
+    write_features(logits, tmp_path / "logits.bin")
+    assert dispatch([
+        "retrain", "--features", str(tmp_path / "f.bin"), "--soft-logits", str(tmp_path / "logits.bin"),
+        "--alpha", "0.7", "--epochs", "1", "--out-model", str(tmp_path / "m.json"),
+    ]) == 0
+    targets = softmax(0.7 * logits.values.astype(np.float64))
+    want = train_linear_on_targets(features, targets, TrainConfig(epochs=1))
+    got = load_classifier(tmp_path / "m.json")
+    assert got.weights.tobytes() == want.weights.tobytes() and got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_retrain_soft_logits_peak_stays_under_three_label_matrices(tmp_path):
+    # The soft targets are built a row chunk at a time into one class-major
+    # matrix, so above the features' and logits' float32 bytes the traced
+    # peak reads 1.65 label matrices; widening, scaling and taking the softmax
+    # of all rows at once read 4.65.
+    n, d, c = 20000, 16, 10
+    rng = np.random.default_rng(12)
+    write_features(FeatureMatrix(rng.normal(size=(n, d)).astype(np.float32)), tmp_path / "f.bin")
+    write_features(FeatureMatrix(rng.normal(size=(n, c)).astype(np.float32)), tmp_path / "logits.bin")
+    tracemalloc.start()
+    try:
+        assert dispatch([
+            "retrain", "--features", str(tmp_path / "f.bin"), "--soft-logits", str(tmp_path / "logits.bin"),
+            "--alpha", "2.5", "--epochs", "2", "--out-model", str(tmp_path / "m.json"),
+        ]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    label_matrices = (peak - n * (d + c) * 4) / (n * c * 8)
+    assert label_matrices < 2.5, label_matrices
 
 
 def test_eval_scores_rows_of_a_class_the_head_lacks_as_misses(tmp_path, capsys):

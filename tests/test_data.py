@@ -442,6 +442,23 @@ def test_hard_labels_text_bytes_are_pinned(values, text, tmp_path):
     assert path.read_bytes() == text
 
 
+def test_hard_labels_text_in_blocks_is_the_one_join_text(tmp_path):
+    # 10000 labels fill four 2048-label blocks and part of a fifth; indices of
+    # one to four digits put lines of every length across the block edges.
+    values = np.random.default_rng(7).integers(0, 10000, size=10000)
+    path = tmp_path / "y.txt"
+    write_hard_labels(HardLabels(values, 10000), path)
+    assert path.read_bytes() == "".join([f"{v}\n" for v in values.tolist()]).encode()
+
+
+def test_hard_labels_write_holds_one_block_of_strings(tmp_path):
+    # One block's strings and their join read 0.14 MB; a list of all 100000
+    # lines and the one text joined from it read 6.39 MB.
+    labels = HardLabels(np.random.default_rng(8).integers(0, 10, size=100000), 10)
+    _, peak = _traced_peak(write_hard_labels, labels, tmp_path / "y.txt")
+    assert peak < 0.5 * 2**20, peak / 2**20
+
+
 # The text format cannot hold zero labels (an empty file reads as "no labels"),
 # so neither labels nor logits, a FeatureMatrix, hold zero rows.
 def test_zero_length_labels_and_logits_are_refused(tmp_path):

@@ -432,6 +432,36 @@ def test_lapack_routines_are_scipys_in_either_import_order(imports):
 
 def test_missing_lapack_extension_raises_naming_it(monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(ipc, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
-    with pytest.raises(ImportError, match=r"^scipy's LAPACK extension scipy\.linalg\._flapack is missing$"):
-        ipc._load_flapack()
+    # No extension in scipy's linalg directory, then no scipy package at all.
+    fakes = {"PathFinder": SimpleNamespace(find_spec=lambda name, path: None), "find_spec": lambda name: None}
+    for attr, fake in fakes.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(ipc, attr, fake)
+            with pytest.raises(ImportError, match=r"^scipy's LAPACK extension scipy\.linalg\._flapack is missing$"):
+                ipc._load_flapack()
+
+
+def test_failed_bare_lapack_load_imports_scipy_and_loads_once_more():
+    """Where the extension cannot load before scipy's package init has run
+    (scipy's Windows wheels make their DLLs loadable there), the loader
+    imports scipy and loads again, and the routines are scipy's own. The
+    first load is made to fail in a fresh process, before ipc is imported."""
+    script = (
+        "import sys\n"
+        "import importlib.util\n"
+        "real, calls = importlib.util.module_from_spec, []\n"
+        "def flaky(spec):\n"
+        "    calls.append('scipy' in sys.modules)\n"
+        "    if len(calls) == 1:\n"
+        "        raise ImportError('DLL load failed')\n"
+        "    return real(spec)\n"
+        "importlib.util.module_from_spec = flaky\n"
+        "from labelpure import ipc\n"
+        "importlib.util.module_from_spec = real\n"
+        "print(calls, 'scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "print(ipc.dpotrf is lapack.dpotrf, ipc.dpotrs is lapack.dpotrs)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[False, True] False", "True True"]
