@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -30,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import LABEL_TEXT, json_is, parse_json, read_text
+from .errors import LABEL_TEXT, check_config, json_is, parse_json, read_text
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
@@ -435,10 +434,8 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
     tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
-    if cfg["soft_logits"] and not math.isfinite(cfg["alpha"]):
-        raise ValueError(f"alpha must be finite, got {cfg['alpha']}")
-    if cfg["soft_logits"] and not cfg["alpha"] > 0:
-        raise ValueError(f"alpha must be positive, got {cfg['alpha']}")
+    if cfg["soft_logits"]:
+        check_config({"alpha": cfg["alpha"]}, positive=("alpha",))
     features = data.load_features(cfg["features"])
     inputs = {"features": cfg["features"]}
     if cfg["soft_logits"]:

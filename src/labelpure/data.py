@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LABEL_TEXT, FormatError, read_text
+from .errors import LABEL_TEXT, FormatError, check_config, read_text
 
 MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
@@ -80,8 +80,7 @@ class HardLabels:
             raise ValueError(f"labels must be whole class indices; casting {raw.dtype} to int64 changed some")
         if v.ndim != 1 or v.size < 1:
             raise ValueError(f"labels must be a non-empty 1-D array, got shape {np.shape(self.values)}")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        check_config({"n_classes": self.n_classes}, at_least={"n_classes": 1})
         if v.min() < 0 or v.max() >= self.n_classes:
             raise ValueError(
                 f"label indices must lie in [0, {self.n_classes}), "

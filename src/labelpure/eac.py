@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import softmax, softmax_entropy
-from .errors import NumericError, check_finite
+from .errors import NumericError, check_config
 
 # Adam's moment decay rates and denominator floor.
 _BETA1 = 0.9
@@ -53,15 +53,7 @@ class EacConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.gamma_ent < 0:
-            raise ValueError(f"gamma_ent must be nonnegative, got {self.gamma_ent}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        check_config(vars(self), unit=("eta",), at_least={"period": 1}, nonnegative=("gamma_ent", "lr"))
 
 
 class TrainState:

@@ -1,9 +1,8 @@
 """Shared exception types, the text read and JSON parse that name where a
 file breaks, the characters a hand-written index may hold, the kind test of
-a JSON value, and the finiteness check of config fields. Standard library
-only, so the command line can check its inputs before numpy loads."""
+a JSON value, and the bound check of config values. Standard library only,
+so the command line can check its inputs before numpy loads."""
 
-import dataclasses
 import json
 import math
 import re
@@ -51,12 +50,26 @@ def json_is(value: object, kind: type) -> bool:
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
-def check_finite(config: object) -> None:
-    """Refuse a dataclass whose float fields hold a NaN or an infinity."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
+def check_config(values: dict, *, positive=(), nonnegative=(), unit=(), at_least=None) -> None:
+    """Refuse the first of ``values`` (name -> value, in order) that is a NaN or
+    infinite float, or breaks its bound: the names in ``positive`` must be > 0,
+    in ``nonnegative`` >= 0, in ``unit`` within [0, 1], and each name in
+    ``at_least`` no less than the number it maps to."""
+    at_least = at_least or {}
+    for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            rule = "be finite"
+        elif name in positive and not value > 0:
+            rule = "be positive"
+        elif name in nonnegative and not value >= 0:
+            rule = "be nonnegative"
+        elif name in unit and not 0 <= value <= 1:
+            rule = "lie in [0, 1]"
+        elif name in at_least and not value >= at_least[name]:
+            rule = f"be >= {at_least[name]}"
+        else:
+            continue
+        raise ValueError(f"{name} must {rule}, got {value}")
 
 
 def parse_json(text: str, path: object, line: int = 1) -> object:

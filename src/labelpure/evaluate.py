@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
 from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
-from .errors import FormatError, check_finite, json_is, parse_json, read_text
+from .errors import FormatError, check_config, json_is, parse_json, read_text
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.epochs < 1 or self.batch < 1:
-            raise ValueError(f"epochs and batch must be >= 1, got {self.epochs}, {self.batch}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        check_config(vars(self), at_least={"epochs": 1, "batch": 1}, nonnegative=("lr", "seed"))
 
 
 def train_linear_on_targets(

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .data import softmax, softmax_entropy
-from .errors import NumericError, check_finite
+from .errors import NumericError, check_config
 
 
 def _load_flapack() -> ModuleType:
@@ -70,15 +70,7 @@ class IpcConfig:
     gamma_ent: float = 1.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.gamma_ent < 0:
-            raise ValueError(f"gamma_ent must be nonnegative, got {self.gamma_ent}")
+        check_config(vars(self), positive=("alpha", "eta"), nonnegative=("lam", "gamma_ent"))
 
 
 def _cholesky(F_t: np.ndarray, lam: float, dual: bool = False) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .data import FeatureMatrix, HardLabels
-from .errors import check_finite
+from .errors import check_config
 
 # Conventional similar-class map for the 10-class CIFAR layout:
 # truck->automobile, bird->airplane, deer->horse, cat<->dog.
@@ -39,15 +39,9 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.classes}")
+        check_config(vars(self), at_least={"dim": 1, "classes": 2}, positive=("separation",), nonnegative=("seed",))
         if self.n < self.classes:
             raise ValueError(f"need n >= classes, got n={self.n}, classes={self.classes}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.separation > 0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
 
 
 def _balanced_counts(n: int, c: int) -> np.ndarray:
@@ -116,8 +110,7 @@ def gen_gaussian_mixture_split(
     come from a single call: separate calls with different seeds would place
     different means, and with the same seed would replicate samples.
     """
-    if n_val < 0 or n_test < 0:
-        raise ValueError("split sizes must be nonnegative")
+    check_config({"n_val": n_val, "n_test": n_test}, nonnegative=("n_val", "n_test"))
     rng = np.random.default_rng(spec.seed)
     means = _cluster_means(rng, spec)
     sizes = (spec.n, n_val, n_test)
@@ -151,8 +144,7 @@ def gen_gaussian_mixture_split(
 def _flip(labels: HardLabels, ratio: float, seed: int, targets: Callable[[np.random.Generator], np.ndarray]) -> HardLabels:
     """Replace each label with probability ``ratio`` by its row of ``targets(rng)``,
     which draws from the generator after the flip mask."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
+    check_config({"ratio": ratio, "seed": seed}, unit=("ratio",), nonnegative=("seed",))
     rng = np.random.default_rng(seed)
     flip = rng.random(len(labels)) < ratio
     return HardLabels(np.where(flip, targets(rng), labels.values), labels.n_classes)

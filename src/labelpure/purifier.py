@@ -13,7 +13,7 @@ from numpy.linalg import LinAlgError
 
 from .data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax
 from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step, row_chunks
-from .errors import NumericError
+from .errors import NumericError, check_config
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
 
 # The CLI and traced benchmark runs look save_report up on this module.
@@ -34,10 +34,7 @@ class PurifierConfig:
     use_eac: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_config(vars(self), at_least={"batch_size": 2, "epochs": 1}, nonnegative=("shuffle_seed",))
         if not (self.use_ipc or self.use_eac):
             raise ValueError("at least one of use_ipc / use_eac must be enabled")
 

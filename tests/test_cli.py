@@ -132,6 +132,12 @@ def test_retrain_refuses_targets_of_another_row_count(targets, tmp_path, capsys)
     ("retrain", "--lr=nan", "lr must be finite, got nan"),
     ("retrain", "--lr=-inf", "lr must be finite, got -inf"),
     ("retrain", "--alpha=inf", "alpha must be finite, got inf"),
+    ("purify", "--seed=-1", "shuffle_seed must be nonnegative, got -1"),
+    ("retrain", "--seed=-1", "seed must be nonnegative, got -1"),
+    ("purify", "--eta-e=1.5", "eta must lie in [0, 1], got 1.5"),
+    ("purify", "--period=0", "period must be >= 1, got 0"),
+    ("purify", "--batch=1", "batch_size must be >= 2, got 1"),
+    ("retrain", "--epochs=0", "epochs must be >= 1, got 0"),
 ])
 def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
     words = {
@@ -503,6 +509,20 @@ def test_synth_refuses_features_beyond_float32_and_leaves_no_feature_file(tmp_pa
     assert dispatch(args) == 1
     assert re.fullmatch(r"labelpure: error: \S+f\.bin: value .* is beyond the float32 range\n", capsys.readouterr().err)
     assert not any(tmp_path.iterdir())  # no feature, label or manifest file
+
+
+def test_negative_seed_is_refused_by_name_and_writes_nothing(tmp_path, capsys):
+    assert dispatch(_synth_args(tmp_path, n=50, dim=4, classes=3, sep=6.0, seed=-1, n_val=10, n_test=0)) == 1
+    assert capsys.readouterr().err == "labelpure: error: seed must be nonnegative, got -1\n"
+    assert not any(tmp_path.iterdir())
+    (tmp_path / "y.txt").write_text("0\n1\n2\n")
+    for kind in ("symmetric", "asymmetric"):
+        assert dispatch([
+            "corrupt", "--labels", str(tmp_path / "y.txt"), "--kind", kind, "--map", "0:1", "--ratio", "0.5",
+            "--seed", "-1", "--out", str(tmp_path / "n.txt"),
+        ]) == 1
+        assert capsys.readouterr().err == "labelpure: error: seed must be nonnegative, got -1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["y.txt"]
 
 
 def test_flags_override_config_file(tmp_path):

@@ -118,8 +118,12 @@ def test_retraining_matches_the_functional_reference(c):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="^batch must be >= 1, got 0$"):
+        TrainConfig(batch=0)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="^lr must be nonnegative, got -0.001$"):  # as EacConfig
         TrainConfig(lr=-1e-3)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -160,19 +161,21 @@ def test_permute_rows_in_place_equals_the_gather(n, dim, kind, seed, data):
 
 
 def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(10, 2, 1, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        MixtureSpec(1, 2, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        MixtureSpec(10, 0, 2, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        MixtureSpec(10, 2, 2, 0.0, seed=0)
-    for separation in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"^separation must be finite, got {separation}$"):
-            MixtureSpec(10, 2, 2, separation, seed=0)
-    for n_val, n_test in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="split sizes must be nonnegative"):
+    for args, message in [
+        ((10, 2, 1, 1.0), "classes must be >= 2, got 1"),
+        ((1, 2, 2, 1.0), "need n >= classes, got n=1, classes=2"),
+        ((10, 0, 2, 1.0), "dim must be >= 1, got 0"),
+        ((10, 0, 1, 1.0), "dim must be >= 1, got 0"),  # the first bad field is reported
+        ((10, 2, 2, 0.0), "separation must be positive, got 0.0"),
+        ((10, 2, 2, float("inf")), "separation must be finite, got inf"),
+        ((10, 2, 2, float("nan")), "separation must be finite, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MixtureSpec(*args, seed=0)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        MixtureSpec(10, 2, 2, 1.0, seed=-1)
+    for n_val, n_test, name in ((-1, 0, "n_val"), (0, -1, "n_test")):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
             gen_gaussian_mixture_split(MixtureSpec(10, 2, 2, 1.0, seed=0), n_val, n_test)
 
 
@@ -271,7 +274,7 @@ def test_asymmetric_rejects_self_map():
         with pytest.raises(ValueError, match=message):
             inject_asymmetric(labels, 0.5, class_map, seed=0)
     for ratio in (-0.1, 1.5):
-        with pytest.raises(ValueError, match=r"noise ratio must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=rf"^ratio must lie in \[0, 1\], got {ratio}$"):
             inject_asymmetric(labels, ratio, {0: 1}, seed=0)
 
 
