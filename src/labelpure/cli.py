@@ -315,16 +315,15 @@ def _parse_class_map(text: str) -> dict[int, int]:
 def _cmd_corrupt(cfg: dict) -> tuple:
     from . import data, noise
 
+    noise.check_flip(cfg["ratio"], cfg["seed"])
+    class_map = _parse_class_map(cfg["map"]) if cfg["kind"] == "asymmetric" and cfg["map"] else None
     labels = data.load_hard_labels(cfg["labels"], cfg["classes"])
     if cfg["kind"] == "symmetric":
         noisy = noise.inject_symmetric(labels, cfg["ratio"], cfg["seed"])
     else:  # asymmetric, the only other choice of --kind
-        if cfg["map"]:
-            class_map = _parse_class_map(cfg["map"])
-        elif labels.n_classes == 10:
-            class_map = dict(noise.CIFAR10_CLASS_MAP)
-        else:
+        if class_map is None and labels.n_classes != 10:
             raise ValueError(f"asymmetric noise over {labels.n_classes} classes needs an explicit --map")
+        class_map = class_map or dict(noise.CIFAR10_CLASS_MAP)
         noisy = noise.inject_asymmetric(labels, cfg["ratio"], class_map, cfg["seed"])
         cfg["map"] = ",".join(f"{k}:{v}" for k, v in sorted(class_map.items()))
     data.write_hard_labels(noisy, cfg["out"])

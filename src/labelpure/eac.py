@@ -75,6 +75,18 @@ class TrainState:
         self.grad = np.zeros_like(self.params)
 
 
+def minibatches(F: np.ndarray, batch: int, epochs: int, seed: int):
+    """Yield ``(epoch, idx, F[idx] widened to float64)`` for each ``batch``-row
+    slice, the last one ragged, of one permutation of the rows per epoch, all
+    drawn from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for epoch in range(epochs):
+        perm = rng.permutation(F.shape[0])
+        for lo in range(0, F.shape[0], batch):
+            idx = perm[lo : lo + batch]
+            yield epoch, idx, np.take(F, idx, axis=0).astype(np.float64, copy=False)
+
+
 def row_chunks(n: int) -> list[tuple[int, int]]:
     """The ``(lo, hi)`` row ranges that tile ``[0, n)``. Every chunk starts at
     a multiple of 2048 rows and the last one absorbs a remainder under 1024

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix, HardLabels, one_hot
-from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step
+from .eac import LinearClassifier, TrainState, check_targets, classifier_forward, eac_train_step, minibatches
 from .errors import FormatError, check_config, json_is, parse_json, read_text
 
 
@@ -34,18 +34,12 @@ def train_linear_on_targets(
     if targets.ndim != 2 or targets.shape[0] != features.n:
         raise ValueError(f"{features.n} feature rows vs target shape {targets.shape}")
     check_targets(targets)
-    F = features.values
     # Class-major, so each batch gathers into a column-major matrix, the layout
     # the softmax in eac_train_step reduces over.
     by_class = np.ascontiguousarray(targets.T)
     state = TrainState(features.dim, targets.shape[1], cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(features.n)
-        for lo in range(0, features.n, cfg.batch):
-            idx = perm[lo : lo + cfg.batch]
-            f = np.take(F, idx, axis=0).astype(np.float64, copy=False)
-            eac_train_step(state, f, np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
+    for _, idx, f in minibatches(features.values, cfg.batch, cfg.epochs, cfg.seed):
+        eac_train_step(state, f, np.take(by_class, idx, axis=1).T, gamma_ent=0.0)
     return LinearClassifier(state.weights, state.bias)
 
 

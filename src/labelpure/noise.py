@@ -141,10 +141,15 @@ def gen_gaussian_mixture_split(
     return train, out[1], out[2]
 
 
+def check_flip(ratio: float, seed: int) -> None:
+    """Refuse a flip ``ratio`` outside [0, 1] and a negative ``seed``."""
+    check_config({"ratio": ratio, "seed": seed}, unit=("ratio",), nonnegative=("seed",))
+
+
 def _flip(labels: HardLabels, ratio: float, seed: int, targets: Callable[[np.random.Generator], np.ndarray]) -> HardLabels:
     """Replace each label with probability ``ratio`` by its row of ``targets(rng)``,
     which draws from the generator after the flip mask."""
-    check_config({"ratio": ratio, "seed": seed}, unit=("ratio",), nonnegative=("seed",))
+    check_flip(ratio, seed)
     rng = np.random.default_rng(seed)
     flip = rng.random(len(labels)) < ratio
     return HardLabels(np.where(flip, targets(rng), labels.values), labels.n_classes)

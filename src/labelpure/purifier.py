@@ -12,7 +12,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .data import CleanValidationSet, FeatureMatrix, HardLabels, one_hot, softmax
-from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step, row_chunks
+from .eac import EacConfig, TrainState, classifier_forward, eac_label_update, eac_train_step, minibatches, row_chunks
 from .errors import NumericError, check_config
 from .ipc import IpcConfig, ipc_step, loss_and_label_gradient
 
@@ -53,11 +53,9 @@ def purify(
     the lowest class index). ``truth``, when given, adds label accuracy to
     the report; it never influences the updates.
 
-    Per epoch the training indices are shuffled (seeded) and split into
-    batches. Per batch: one hypergradient step on that batch's logit rows,
-    then classifier training on the freshly updated soft targets. A global
-    iteration counter p advances per batch; whenever p is a multiple of the
-    replacement period, the classifier's logits over the full training set
+    Per ``minibatches`` batch: one hypergradient step on its logit rows, then
+    classifier training on the freshly updated soft targets. Every
+    ``period``-th batch, the classifier's logits over the full training set
     are momentum-blended into all logit rows.
     """
     n, c = features.n, noisy.n_classes
@@ -77,8 +75,6 @@ def purify(
     Y_v = val.labels
     Y = one_hot(noisy)  # the one N x c buffer: ridge steps write its batch rows, replacements a chunk at a time
     state = TrainState(features.dim, c, cfg.eac.lr)
-    rng = np.random.default_rng(cfg.shuffle_seed)
-    alpha = cfg.ipc.alpha
 
     # Hard labels for the truth accuracy of each record, kept in step with Y so
     # that a record needs no full argmax: a ridge step changes only the batch
@@ -89,42 +85,36 @@ def purify(
 
     records: list[IterationRecord] = []
     start = time.perf_counter()
-    p = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            f, y = np.take(F_t, idx, axis=0).astype(np.float64, copy=False), np.take(Y, idx, axis=0)
-            p += 1
-            val_loss = grad_norm = None
-            try:
-                if cfg.use_ipc:
-                    val_loss, grad = loss_and_label_gradient(f, y, F_v, Y_v, cfg.ipc)
-                    grad_norm = float(np.linalg.norm(grad))
-                    Y[idx] = y = ipc_step(y, grad, cfg.ipc.eta)
+    for p, (epoch, idx, f) in enumerate(minibatches(F_t, cfg.batch_size, cfg.epochs, cfg.shuffle_seed), 1):
+        y = np.take(Y, idx, axis=0)
+        val_loss = grad_norm = None
+        replace = bool(cfg.use_eac) and p % cfg.eac.period == 0
+        try:
+            if cfg.use_ipc:
+                val_loss, grad = loss_and_label_gradient(f, y, F_v, Y_v, cfg.ipc)
+                grad_norm = float(np.linalg.norm(grad))
+                Y[idx] = y = ipc_step(y, grad, cfg.ipc.eta)
+                if truth is not None:
+                    pred[idx] = np.argmax(y, axis=1)
+            if cfg.use_eac:
+                eac_train_step(state, f, softmax(cfg.ipc.alpha * y), gamma_ent=cfg.eac.gamma_ent)
+            if replace:
+                for lo, hi in row_chunks(n):
+                    Y[lo:hi] = eac_label_update(Y[lo:hi], classifier_forward(state, F_t[lo:hi]), cfg.eac.eta)
                     if truth is not None:
-                        pred[idx] = np.argmax(y, axis=1)
-                did_replace = False
-                if cfg.use_eac:
-                    eac_train_step(state, f, softmax(alpha * y), gamma_ent=cfg.eac.gamma_ent)
-                    if p % cfg.eac.period == 0:
-                        for lo, hi in row_chunks(n):
-                            Y[lo:hi] = eac_label_update(Y[lo:hi], classifier_forward(state, F_t[lo:hi]), cfg.eac.eta)
-                            if truth is not None:
-                                pred[lo:hi] = np.argmax(Y[lo:hi], axis=1)
-                        did_replace = True
-            except (NumericError, LinAlgError) as exc:
-                raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
-            records.append(
-                IterationRecord(
-                    p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm, eac_update=did_replace,
-                    acc=None if truth is None else int(np.count_nonzero(pred == truth.values)) / n,
-                )
+                        pred[lo:hi] = np.argmax(Y[lo:hi], axis=1)
+        except (NumericError, LinAlgError) as exc:
+            raise type(exc)(f"{exc} (epoch {epoch}, iteration {p})") from exc
+        records.append(
+            IterationRecord(
+                p=p, epoch=epoch, val_loss=val_loss, grad_norm=grad_norm, eac_update=replace,
+                acc=None if truth is None else int(np.count_nonzero(pred == truth.values)) / n,
             )
+        )
 
     summary = {
         "schema": REPORT_SCHEMA,
-        "iterations": p,
+        "iterations": len(records),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "wall_time_s": time.perf_counter() - start,

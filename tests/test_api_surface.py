@@ -2,7 +2,9 @@
 top-level name of a ``labelpure`` module must be referenced somewhere in the
 package or the benchmark harness, outside its own definition. Reference code
 that only tests call belongs in ``tests/oracles.py``. Every private top-level
-name must be referenced in its own module, outside its own definition."""
+name must be referenced in its own module, outside its own definition. Every
+imported name must be used in the module or function that imports it, unless
+its line is marked ``# noqa: F401``."""
 
 import ast
 from pathlib import Path
@@ -69,4 +71,29 @@ def test_every_private_name_is_used_in_its_own_module():
         for name, node in _defined(tree, private=True).items():
             if name not in _referenced(tree, {id(node)}):
                 unused.append(f"{module.stem}.{name}")
+    assert unused == []
+
+
+def test_every_import_is_used_where_it_is_imported():
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        lines = module.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        # Each import belongs to the innermost function around it, else the module.
+        stack, imports = [(tree, tree)], []
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imports.append((node, scope))
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+        for node, scope in imports:
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{module.stem}:{node.lineno}: {name}")
     assert unused == []

@@ -138,9 +138,13 @@ def test_retrain_refuses_targets_of_another_row_count(targets, tmp_path, capsys)
     ("purify", "--period=0", "period must be >= 1, got 0"),
     ("purify", "--batch=1", "batch_size must be >= 2, got 1"),
     ("retrain", "--epochs=0", "epochs must be >= 1, got 0"),
+    ("corrupt", "--ratio=1.5", "ratio must lie in [0, 1], got 1.5"),
+    ("corrupt", "--seed=-1", "seed must be nonnegative, got -1"),
+    ("corrupt", "--kind=asymmetric --map=0-1", "bad class map entry '0-1', expected 'src:dst'"),
 ])
 def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, message, tmp_path, capsys):
     words = {
+        "corrupt": ["--labels", "y.txt", "--ratio=0.5", "--out", "n.txt"],
         "retrain": ["--features", "f.bin", "--soft-logits", "logits.bin", "--out-model", "m.json"],
         "purify": [
             "--features", "f.bin", "--labels", "y.txt", "--val-features", "vf.bin", "--val-labels", "vy.csv",
@@ -149,7 +153,7 @@ def test_bad_config_value_is_refused_before_any_input_is_read(command, flag, mes
     }[command]
     # No input file exists, so a handler that read one first would report it instead.
     args = [word if word.startswith("--") else str(tmp_path / word) for word in words]
-    assert dispatch([command, *args, flag]) == 1
+    assert dispatch([command, *args, *flag.split()]) == 1
     assert capsys.readouterr().err == f"labelpure: error: {message}\n"
 
 
@@ -550,6 +554,14 @@ def test_flags_override_config_file(tmp_path):
 
 
 # ---------------------------------------------------------------- corrupt variants
+
+
+def test_symmetric_corrupt_ignores_the_class_map(tmp_path):
+    (tmp_path / "y.txt").write_text("0\n1\n2\n" * 10)
+    assert dispatch([
+        "corrupt", "--labels", str(tmp_path / "y.txt"), "--ratio", "0.5", "--map", "0-1", "--out", str(tmp_path / "n.txt"),
+    ]) == 0
+    assert len(load_hard_labels(tmp_path / "n.txt")) == 30
 
 
 def test_corrupt_asymmetric_with_map(tmp_path):

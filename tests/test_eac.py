@@ -10,6 +10,7 @@ from labelpure.eac import (
     classifier_forward,
     eac_label_update,
     eac_train_step,
+    minibatches,
     row_chunks,
 )
 from labelpure.errors import NumericError
@@ -25,6 +26,19 @@ from oracles import (
 )
 
 mpmath.mp.dps = 50
+
+
+# ---------------------------------------------------------------- schedule
+
+
+def test_minibatches_cut_one_seeded_permutation_per_epoch():
+    F = np.arange(20, dtype=np.float32).reshape(10, 2)
+    batches = list(minibatches(F, 4, 2, seed=3))
+    assert [(epoch, len(idx)) for epoch, idx, _ in batches] == [(0, 4), (0, 4), (0, 2), (1, 4), (1, 4), (1, 2)]
+    rng = np.random.default_rng(3)
+    for epoch in (0, 1):
+        assert np.array_equal(np.concatenate([idx for e, idx, _ in batches if e == epoch]), rng.permutation(10))
+    assert all(rows.dtype == np.float64 and np.array_equal(rows, F[idx]) for _, idx, rows in batches)
 
 
 # ---------------------------------------------------------------- forward

@@ -13,7 +13,7 @@ from labelpure.data import (
     one_hot,
 )
 from labelpure import purifier
-from labelpure.eac import EacConfig, eac_label_update
+from labelpure.eac import EacConfig, eac_label_update, minibatches
 from labelpure.errors import FormatError
 from labelpure.ipc import IpcConfig, ipc_step
 from labelpure.noise import (
@@ -112,12 +112,7 @@ def test_tracked_accuracy_equals_a_full_recount(monkeypatch):
     # replacements; a large eta makes ridge steps flip labels.
     features, clean, noisy, val = _small_problem()
     cfg = _quick_config(ipc=IpcConfig(eta=100.0), eac=EacConfig(period=3), epochs=4)
-    rng = np.random.default_rng(cfg.shuffle_seed)
-    batches = iter(
-        perm[lo : lo + cfg.batch_size]
-        for perm in (rng.permutation(features.n) for _ in range(cfg.epochs))
-        for lo in range(0, features.n, cfg.batch_size)
-    )
+    batches = (idx for _, idx, _ in minibatches(features.values, cfg.batch_size, cfg.epochs, cfg.shuffle_seed))
     shadow = one_hot(noisy)
     recounts = []
 
@@ -155,12 +150,16 @@ def _reference_problem(c, d, n=240, b=48):
     return train[0], noisy, CleanValidationSet(val[0], one_hot(val[1])), b
 
 
-@pytest.mark.parametrize("c, d, eac", [(5, 8, {}), (10, 8, {}), (5, 60, {}), (10, 60, {"eta": 0.6})])
-def test_purify_matches_the_sequential_reference(c, d, eac):
+# Ids as pytest derived them before the n column was added.
+@pytest.mark.parametrize("c, d, eac, n", [
+    (5, 8, {}, 240), (10, 8, {}, 240), (5, 60, {}, 240), (10, 60, {"eta": 0.6}, 240), (5, 8, {}, 250), (10, 60, {}, 250),
+], ids=["5-8-eac0", "10-8-eac1", "5-60-eac2", "10-60-eac3", "5-8-ragged", "10-60-ragged"])
+def test_purify_matches_the_sequential_reference(c, d, eac, n):
     # d = 8 takes the primal ridge factor and d = 60 > b = 48 the dual one; the
     # reference builds the primal operator explicitly in both cases. eta = 0.6
-    # blends the classifier's logits in partway.
-    features, noisy, val, b = _reference_problem(c, d)
+    # blends the classifier's logits in partway. 250 rows make five batches of
+    # 48 and a ragged one of 10 per epoch.
+    features, noisy, val, b = _reference_problem(c, d, n)
     cfg = PurifierConfig(ipc=IpcConfig(eta=2.0), eac=EacConfig(period=4, lr=0.05, **eac), batch_size=b, epochs=5)
     logits, purified, _ = purify(features, noisy, val, cfg)
     ref = reference_purify(features, noisy, val, cfg)
@@ -224,9 +223,10 @@ def test_validation_set_is_read_only_but_influences_result():
 
 def test_ipc_only_skips_classifier():
     features, _, noisy, val = _small_problem()
-    _, _, report = purify(features, noisy, val, _quick_config(use_eac=False))
-    assert not any(r.eac_update for r in report.records)
-    assert all(r.val_loss is not None for r in report.records)
+    for off in (False, 0):  # a falsy int still records false, which load_report requires
+        _, _, report = purify(features, noisy, val, _quick_config(use_eac=off))
+        assert all(r.eac_update is False for r in report.records)
+        assert all(r.val_loss is not None for r in report.records)
 
 
 def test_eac_only_has_no_validation_loss():
