@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import LABEL_TEXT, check_config, json_is, parse_json, read_text
+from .errors import ASCII_WHITESPACE, LABEL_TEXT, check_config, json_is, parse_json, read_text
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"
@@ -295,7 +295,7 @@ _CORRUPT_OPTIONS = (
 def _parse_class_map(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for part in text.split(","):
-        part = part.strip(" \t\n\r\x0b\x0c")  # ASCII whitespace only: str.strip() also takes \x1c-\x1f
+        part = part.strip(ASCII_WHITESPACE)
         if not part:
             continue
         try:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LABEL_TEXT, FormatError, check_config, read_text
+from .errors import ASCII_WHITESPACE, LABEL_TEXT, FormatError, check_config, read_text
 
 MAGIC = b"DMLPFEAT"
 FORMAT_VERSION = 1
@@ -260,7 +260,7 @@ def _read_label_text(path: Path, refusal: str) -> str:
     at = LABEL_TEXT.match(text).end()
     if at < len(text):
         lineno = text.count("\n", 0, at) + 1
-        line = text.split("\n")[lineno - 1].strip(" \t\n\r\x0b\x0c")  # ASCII whitespace only
+        line = text.split("\n")[lineno - 1].strip(ASCII_WHITESPACE)
         raise FormatError(f"{path}: line {lineno}: {refusal}: {line!r}")
     return text
 
@@ -270,7 +270,7 @@ def load_hard_labels(path: str | Path, n_classes: int | None = None) -> HardLabe
     path = Path(path)
     values = []
     for lineno, line in enumerate(_read_label_text(path, "not a class index").split("\n"), 1):
-        line = line.strip()
+        line = line.strip(ASCII_WHITESPACE)
         if not line:
             continue
         try:
@@ -304,7 +304,7 @@ def load_onehot_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     for lineno, line in enumerate(_read_label_text(path, "not a one-hot row").split("\n"), 1):
-        line = line.strip()
+        line = line.strip(ASCII_WHITESPACE)
         if not line:
             continue
         try:

@@ -1,7 +1,7 @@
 """Shared exception types, the text read and JSON parse that name where a
-file breaks, the characters a hand-written index may hold, the kind test of
-a JSON value, and the bound check of config values. Standard library only,
-so the command line can check its inputs before numpy loads."""
+file breaks, the characters a hand-written index may hold and the whitespace
+it is stripped of, the kind test of a JSON value, and the bound check of config
+values. Standard library only, so the command line checks inputs before numpy loads."""
 
 import json
 import math
@@ -11,8 +11,9 @@ from pathlib import Path
 
 # The characters a label file or class map may hold: ASCII whitespace and the
 # printable ASCII characters other than "_". int() alone reads '٣' as 3 and
-# '1_0' as 10, and str.strip() takes the controls \x1c-\x1f for whitespace.
+# '1_0' as 10; str.strip() takes \x1c-\x1f too, so such text strips ASCII_WHITESPACE.
 LABEL_TEXT = re.compile(r"[\t\n\x0b\x0c\r\x20-\x5e\x60-\x7e]*")
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 class FormatError(ValueError):

@@ -87,7 +87,9 @@ def _cholesky(F_t: np.ndarray, lam: float, dual: bool = False) -> np.ndarray:
     if not np.isfinite(gram.diagonal()).all():
         raise ValueError("Gram matrix is not finite: the batch features are non-finite or too large")
     gram.flat[:: gram.shape[0] + 1] += lam
-    factor, info = dpotrf(gram, lower=1, clean=0)
+    # numpy fills both triangles of the symmetric Gram, so gram.T is the same
+    # matrix column-major, and LAPACK factors it in place, with no copy.
+    factor, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise LinAlgError(
             f"Gram matrix is singular at lam={lam}: {info}-th leading minor of the array is not positive definite"

@@ -171,7 +171,7 @@ def inject_asymmetric(labels: HardLabels, ratio: float, class_map: dict[int, int
     touched; a flipped label always lands on ``class_map[original]``.
     """
     c = labels.n_classes
-    target = np.arange(c, dtype=np.int64)
+    target = labels.values.copy()
     for src, dst in class_map.items():
         if src == dst:
             raise ValueError(f"class map entry {src}->{dst} maps a class to itself")
@@ -179,5 +179,5 @@ def inject_asymmetric(labels: HardLabels, ratio: float, class_map: dict[int, int
             raise ValueError(f"class map entry {src}->{dst} has a negative index")
         if src >= c or dst >= c:
             raise ValueError(f"class map entry {src}->{dst} outside {c} classes")
-        target[src] = dst
-    return _flip(labels, ratio, seed, lambda rng: target[labels.values])
+        target[labels.values == src] = dst
+    return _flip(labels, ratio, seed, lambda rng: target)

@@ -7,10 +7,10 @@ report (``labelpure report``) loads neither numpy nor scipy.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .errors import FormatError, json_is, parse_json, read_text
+from .errors import ASCII_WHITESPACE, FormatError, json_is, parse_json, read_text
 
 REPORT_SCHEMA = 1
 
@@ -49,7 +49,7 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in report.records:
-            row = asdict(rec)
+            row = vars(rec).copy()
             if rec.acc is None:
                 del row["acc"]
             fh.write(json.dumps(row) + "\n")
@@ -57,16 +57,16 @@ def save_report(report: CorrectionReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> CorrectionReport:
-    """Read a report written by save_report; blank lines are skipped. A line
-    that is not a record with fields of their types, or a summary object, or
-    any line after the summary, raises FormatError naming the file and the line."""
+    """Read a report written by save_report; lines blank but for ASCII whitespace
+    are skipped. A line that is not a record with fields of their types, or a
+    summary object, or any line after the summary, raises FormatError naming file and line."""
     kinds = {f.name: _JSON_KINDS[f.type] for f in fields(IterationRecord)}
     required = [f.name for f in fields(IterationRecord) if f.default is MISSING]
     records: list[IterationRecord] = []
     summary: dict | None = None
     summary_line = 0
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
+        line = line.strip(ASCII_WHITESPACE)
         if not line:
             continue
         if summary_line:  # two reports written one after the other

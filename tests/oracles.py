@@ -7,6 +7,8 @@ reference builds the ridge operator explicitly, the reference loops use a
 row-major softmax and a functional Adam step that returns fresh arrays, and
 the reference mixture generator concatenates per-class blocks, and the
 reference class-map parser reads each entry with one regular expression.
+The metamorphic transforms rename classes, reorder or duplicate the clean
+set: each gives a problem whose purify outputs follow from the original's.
 
 The first section holds the decomposed forms the oracles are compared
 through: the ridge fit, its predictions and the validation loss, the
@@ -451,3 +453,31 @@ def reference_parse_class_map(text: str) -> dict[int, int]:
     if not out:
         raise ValueError("empty class map")
     return out
+
+
+# ---------------------------------------------------------------- metamorphic transforms
+
+
+def permute_classes(
+    noisy: HardLabels, val: CleanValidationSet, truth: HardLabels, sigma: np.ndarray
+) -> tuple[HardLabels, CleanValidationSet, HardLabels]:
+    """Class k renamed ``sigma[k]`` in the noisy labels, the clean one-hot
+    columns and the truth. Purify's logits should come back with column k
+    moved to ``sigma[k]``, and its hard labels renamed the same way."""
+    def rename(y: HardLabels) -> HardLabels:
+        return HardLabels(sigma[y.values], y.n_classes)
+
+    return rename(noisy), CleanValidationSet(val.features, val.labels[:, np.argsort(sigma)]), rename(truth)
+
+
+def permute_clean_rows(val: CleanValidationSet, perm: np.ndarray) -> CleanValidationSet:
+    """The clean set in another row order: the loop should not notice."""
+    return CleanValidationSet(FeatureMatrix(val.features.values[perm]), val.labels[perm])
+
+
+def duplicate_clean_set(val: CleanValidationSet) -> CleanValidationSet:
+    """Every clean row given twice: the validation loss is a mean over rows,
+    so the loop should not notice. A sum where a mean belongs doubles it."""
+    return CleanValidationSet(
+        FeatureMatrix(np.concatenate([val.features.values] * 2)), np.concatenate([val.labels] * 2)
+    )

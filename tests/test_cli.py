@@ -307,10 +307,16 @@ _RECORD = '{"p": 1, "epoch": 0, "val_loss": null, "grad_norm": null, "eac_update
     ("\udcff{}", "line 2: not UTF-8 text"),
     ('{"p": ' + "1" * 5000 + "}", "line 2: integer with more than 4300 digits: column 7"),
     ("[" * 100000, "line 2: JSON nested too deeply"),
+    # str.strip() takes these for whitespace; the report, like label files, strips ASCII whitespace only.
+    (_RECORD + "\x1c", "line 2: Extra data: column 78"),
+    (_RECORD + "\x85", "line 2: Extra data: column 78"),
+    (_RECORD + "\xa0", "line 2: Extra data: column 78"),
+    ("\u3000", "line 2: Expecting value: column 1"),
 ], ids=[
     "cut-mid-line", "extra-key", "list-row", "missing-fields", "every-field-mistyped", "bool-p", "float-epoch",
     "int-eac-update", "string-val-loss", "list-grad-norm", "bool-acc", "non-object-summary", "second-summary",
-    "record-after-summary", "not-utf-8", "5000-digit-p", "100000-deep",
+    "record-after-summary", "not-utf-8", "5000-digit-p", "100000-deep", "trailing-x1c", "trailing-nel",
+    "trailing-no-break-space", "ideographic-space-only",
 ])
 def test_report_command_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, line, message):
     path = tmp_path / "rep.jsonl"

@@ -392,6 +392,36 @@ def test_ipc_step_rejects_nonfinite_gradient():
         ipc_step(np.ones((1, 2)), np.array([[np.nan, 0.0]]), 0.1)
 
 
+@pytest.mark.parametrize("b, d", [(64, 16), (16, 64), (256, 512)], ids=["primal", "dual", "embed-dual"])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced", "transposed"])
+def test_cholesky_factors_the_gram_in_place_bitwise(monkeypatch, b, d, layout):
+    """numpy fills both triangles of F'F and FF' for a batch of any layout, so
+    handing LAPACK the Gram's transpose factors it in place, with the bits of
+    factoring a C-ordered copy of the Gram."""
+    rng = np.random.default_rng(b + d)
+    F = {
+        "C": lambda: rng.standard_normal((b, d)),
+        "F": lambda: np.asfortranarray(rng.standard_normal((b, d))),
+        "sliced": lambda: rng.standard_normal((2 * b, d + 3))[::2, 1 : d + 1],
+        "transposed": lambda: rng.standard_normal((d, b)).T,
+    }[layout]()
+    dual = d > b
+    gram = F @ F.T if dual else F.T @ F
+    gram.flat[:: gram.shape[0] + 1] += 0.5
+    expected, info = ipc.dpotrf(np.ascontiguousarray(gram), lower=1, clean=0)
+    assert info == 0
+    real, passed = ipc.dpotrf, []
+
+    def spy(a, **kwargs):
+        passed.append(a)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(ipc, "dpotrf", spy)
+    factor = ipc._cholesky(F, 0.5, dual)
+    assert factor.tobytes() == expected.tobytes()
+    assert np.shares_memory(factor, passed[0])  # no copy on the way into LAPACK
+
+
 def test_ipc_config_validation():
     with pytest.raises(ValueError):
         IpcConfig(alpha=0.0)

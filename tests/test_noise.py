@@ -278,6 +278,19 @@ def test_asymmetric_rejects_self_map():
             inject_asymmetric(labels, ratio, {0: 1}, seed=0)
 
 
+def test_asymmetric_allocates_nothing_sized_by_the_class_count():
+    # A class-sized target table for a label of 10**7 alone takes 80 MB.
+    labels = HardLabels(np.array([0, 1, 2, 10**7]), 10**7 + 1)
+    tracemalloc.start()
+    try:
+        out = inject_asymmetric(labels, 1.0, {0: 1}, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.values.tolist() == [1, 1, 2, 10**7]
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("inject, c, label_seed, digest", [
     (lambda y: inject_symmetric(y, 0.3, seed=12), 5, 11, "06593188db849890"),
     (lambda y: inject_symmetric(y, 0.6, seed=14), 10, 13, "b2868738225be7e0"),

@@ -364,7 +364,8 @@ def test_report_round_trip(tmp_path):
     back = load_report(path)
     assert back.records == report.records
     assert back.summary == report.summary
-    path.write_text(path.read_text().replace("\n", "\n\n  \n"))  # blank lines are skipped
+    # Lines are stripped of ASCII whitespace, and those left blank are skipped.
+    path.write_text(path.read_text().replace("\n", "\t\x0c\n\n \x0b\t\x0c\n\x0b "))
     assert load_report(path) == back
 
 
