@@ -1,20 +1,21 @@
 """Command-line pipelines: synth, corrupt, purify, retrain, eval, report.
 
 Each subcommand has one option table in ``_COMMANDS``; each row is a flag and
-the one config key it sets (dotted when nested). The defaults, the argparse
-arguments and the flag resolution all derive from it. The ``purifier`` and
-``train`` sub-trees come from ``PurifierConfig`` and ``TrainConfig``, and
-every key of every command has exactly one flag. Keys that older releases
-wrote for a command (``_RETIRED_KEYS``) are dropped from that command's
-``--config`` files when replaying them cannot change a run; any other key a
-command's defaults lack is an error.
+the one config key it sets (dotted when nested). It alone says which keys a
+config may hold: the top-level defaults, the argparse arguments and the flag
+resolution all derive from it. Keys that older releases wrote for a command
+(``_RETIRED_KEYS``) are dropped from that command's ``--config`` files when
+replaying them cannot change a run; any other key is an error. The nested
+``purifier`` and ``train`` sub-trees hold only the keys a file or flag gave:
+the purify and retrain handlers fill in the rest from ``PurifierConfig`` and
+``TrainConfig`` and write the whole tree back.
 
-Every run resolves its full configuration (defaults < config file < flags)
-and ``dispatch`` writes a manifest recording the resolved config, input
-digests, and seeds; re-running a subcommand with ``--config <manifest>``
-reproduces the outputs bitwise. The resolved ``threads``, from the flag or a
-replayed config, pins BLAS thread counts before numpy loads, so heavy imports
-happen inside the handlers.
+Every run resolves its configuration (defaults < config file < flags) and
+``dispatch`` writes a manifest recording the config the handler resolved,
+input digests, and seeds; re-running a subcommand with ``--config <manifest>``
+reproduces the outputs bitwise. Resolving loads neither numpy nor scipy, so
+the resolved ``threads``, from the flag or a replayed config, pins BLAS thread
+counts before the handler's imports load numpy.
 """
 
 from __future__ import annotations
@@ -74,13 +75,12 @@ class _Opt(NamedTuple):
 class _Command(NamedTuple):
     """``func`` maps the resolved config to ``(inputs, outputs, seeds)`` for the
     manifest, which goes beside the output keyed ``primary`` unless
-    ``--manifest`` names it; ``trees`` gives the nested default sub-trees."""
+    ``--manifest`` names it."""
 
     func: Callable[[dict], tuple]
     help: str
     options: tuple[_Opt, ...]
     primary: str
-    trees: Callable[[], dict] | None = None
 
 
 def _check_threads(value, where: str) -> None:
@@ -122,12 +122,24 @@ def _write_manifest(path: str, command: str, config: dict, inputs: dict, outputs
 
 
 def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, retired: dict, prefix: str = "") -> dict:
-    """Overlay ``source``'s config on ``base``, with each value of the type its
-    flag parses to (``options``, by key). A key ``base`` lacks is dropped if
-    ``retired`` (the command's ``_RETIRED_KEYS`` row) has it at that value."""
+    """Overlay ``source``'s config on ``base``. Each key is an option's
+    (``options``, by dotted key), with a value of the type its flag parses to;
+    a prefix of an option's key, with an object; or the top-level ``version``,
+    which the loader checked. Any other key is dropped if ``retired`` (the
+    command's ``_RETIRED_KEYS`` row) has it at that value, and so is an object
+    left empty."""
     for key, value in overlay.items():
         dotted = prefix + key
-        if key not in base:
+        if dotted in options:
+            opt = options[dotted]
+            _check_value(opt, value, not prefix and opt.default is None, f"{source}: {dotted}")
+            base[key] = value
+        elif any(k.startswith(dotted + ".") for k in options):
+            if not isinstance(value, dict):
+                raise ValueError(f"{source}: {dotted} must be an object, got {json.dumps(value)}")
+            if not _deep_update(base.setdefault(key, {}), value, source, options, retired, dotted + "."):
+                del base[key]
+        elif dotted != "version":
             if dotted not in retired:
                 raise ValueError(f"{source}: unknown config key '{dotted}'")
             ran_with = retired[dotted]
@@ -136,22 +148,12 @@ def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, r
                     f"{source}: {dotted} = {json.dumps(value)} is no longer configurable"
                     f" (every run used {json.dumps(ran_with)})"
                 )
-            continue
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"{source}: {dotted} must be an object, got {json.dumps(value)}")
-            _deep_update(base[key], value, source, options, retired, dotted + ".")
-            continue
-        opt = options.get(dotted)
-        if opt is not None:
-            _check_value(opt, value, base[key] is None, f"{source}: {dotted}")
-        base[key] = value
     return base
 
 
 def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
-    """Refuse a config value its flag could not have produced. Keys unset by
-    default may be null."""
+    """Refuse a config value its flag could not have produced; null passes
+    where ``nullable`` (a top-level key unset by default)."""
     if value is None and nullable:
         return
     if not json_is(value, opt.type):
@@ -176,9 +178,7 @@ def _load_config_file(path: str | Path, command: str) -> tuple[dict, bool]:
 
 
 def _defaults(command: str) -> dict:
-    cmd = _COMMANDS[command]
-    cfg = {"version": 1, **{opt.key: opt.default for opt in cmd.options if "." not in opt.key}}
-    return {**cfg, **cmd.trees()} if cmd.trees else cfg
+    return {"version": 1, **{opt.key: opt.default for opt in _COMMANDS[command].options if "." not in opt.key}}
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
@@ -187,11 +187,8 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
     cmd = _COMMANDS[args.command]
     source = args.config
     overlay, replay = _load_config_file(source, args.command) if source else ({}, False)
-    # Before _defaults: building the purify/retrain trees imports numpy.
-    threads = getattr(args, "threads", None)
     _check_threads(overlay.get("threads"), f"{source}: threads")
-    _check_threads(threads, "threads")
-    _apply_threads(threads or overlay.get("threads"))
+    _check_threads(getattr(args, "threads", None), "threads")
     options = {opt.key: opt for opt in cmd.options}
     cfg = _deep_update(_defaults(args.command), overlay, source, options, _RETIRED_KEYS.get(args.command, {}))
     for opt in cmd.options:
@@ -201,13 +198,14 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
         node = cfg
         *parents, leaf = opt.key.split(".")
         for key in parents:
-            node = node[key]
+            node = node.setdefault(key, {})
         node[leaf] = value
     _require(cfg, *(opt.key for opt in cmd.options if opt.required))
     primary = cfg[cmd.primary] or f"{cfg['model']}.eval"  # only eval's primary output, --out-json, is optional
     manifest = cfg["manifest"] or f"{primary}.manifest.json"
     rewrite = replay and os.path.realpath(source) == os.path.realpath(manifest)  # a replay rewrites itself
     _check_distinct_files({"config": None if rewrite else source, **cfg, "manifest": manifest})
+    _apply_threads(cfg.get("threads"))
     return cfg, manifest
 
 
@@ -362,12 +360,6 @@ _PURIFY_OPTIONS = (
 )
 
 
-def _purifier_tree() -> dict:
-    from .purifier import PurifierConfig
-
-    return {"purifier": asdict(PurifierConfig())}
-
-
 def _cmd_purify(cfg: dict) -> tuple:
     from . import data
     from .eac import EacConfig
@@ -375,9 +367,10 @@ def _cmd_purify(cfg: dict) -> tuple:
     from .purifier import PurifierConfig, purify, save_report
 
     # The config first, so a bad value is refused before any input is read.
-    tree = dict(cfg["purifier"])
-    ipc, eac = IpcConfig(**tree.pop("ipc")), EacConfig(**tree.pop("eac"))
+    tree = dict(cfg.get("purifier", {}))
+    ipc, eac = IpcConfig(**tree.pop("ipc", {})), EacConfig(**tree.pop("eac", {}))
     pcfg = PurifierConfig(ipc=ipc, eac=eac, **tree)
+    cfg["purifier"] = asdict(pcfg)
     val = data.CleanValidationSet(data.load_features(cfg["val_features"]), data.load_onehot_csv(cfg["val_labels"]))
     features = data.load_features(cfg["features"])
     noisy = data.load_hard_labels(cfg["labels"], val.n_classes)
@@ -419,12 +412,6 @@ _RETRAIN_OPTIONS = (
 )
 
 
-def _train_tree() -> dict:
-    from .evaluate import TrainConfig
-
-    return {"train": asdict(TrainConfig())}
-
-
 def _cmd_retrain(cfg: dict) -> tuple:
     import numpy as np
 
@@ -432,7 +419,8 @@ def _cmd_retrain(cfg: dict) -> tuple:
     from .eac import row_chunks
     from .evaluate import TrainConfig, save_classifier, train_linear_ce, train_linear_on_targets
 
-    tconfig = TrainConfig(**cfg["train"])  # before any input is read, so a bad value is refused first
+    tconfig = TrainConfig(**cfg.get("train", {}))  # before any input is read, so a bad value is refused first
+    cfg["train"] = asdict(tconfig)
     if cfg["soft_logits"]:
         check_config({"alpha": cfg["alpha"]}, positive=("alpha",))
     features = data.load_features(cfg["features"])
@@ -522,11 +510,9 @@ _COMMANDS = {
     "synth": _Command(_cmd_synth, "generate a Gaussian-mixture feature benchmark", _SYNTH_OPTIONS, "out_features"),
     "corrupt": _Command(_cmd_corrupt, "inject label noise into a labels file", _CORRUPT_OPTIONS, "out"),
     "purify": _Command(
-        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, "out_labels", _purifier_tree
+        _cmd_purify, "purify noisy labels against a clean validation set", _PURIFY_OPTIONS, "out_labels"
     ),
-    "retrain": _Command(
-        _cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, "out_model", _train_tree
-    ),
+    "retrain": _Command(_cmd_retrain, "train a linear head with cross entropy", _RETRAIN_OPTIONS, "out_model"),
     "eval": _Command(_cmd_eval, "held-out accuracy of a trained head", _EVAL_OPTIONS, "out_json"),
     "report": _Command(_cmd_report, "flatten a JSON-lines report to CSV", _REPORT_OPTIONS, "csv"),
 }

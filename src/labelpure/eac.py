@@ -29,6 +29,8 @@ class LinearClassifier:
         b = np.array(self.bias, dtype=np.float64)
         if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
             raise ValueError(f"inconsistent classifier shapes {w.shape} / {b.shape}")
+        if 0 in w.shape:  # no feature or no class: every forward would be empty or the bias alone
+            raise ValueError(f"classifier weights must have at least one row and one column, got shape {w.shape}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("classifier parameters contain non-finite entries")
         w.setflags(write=False)

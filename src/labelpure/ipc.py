@@ -125,9 +125,11 @@ def loss_and_label_gradient(
     n_v = F_v.shape[0]
 
     _, _, entropy, d_entropy = softmax_entropy(P)
-    loss = (float(((P - Y_v) ** 2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
+    resid = P - Y_v
+    loss = (float((resid**2).sum()) + cfg.gamma_ent * float(entropy.sum())) / n_v
 
-    grad_pred = (2.0 * (P - Y_v) + cfg.gamma_ent * d_entropy) / n_v
+    # Row-major like P: the bits of the product below depend on that layout.
+    grad_pred = (2.0 * resid + cfg.gamma_ent * np.ascontiguousarray(d_entropy)) / n_v
     back = F_v.T @ grad_pred                  # d x c
     # Column-major like S, so the row sum below reduces over whole columns.
     grad_soft = np.asfortranarray(_solve(factor, F_t @ back) if dual else F_t @ _solve(factor, back))

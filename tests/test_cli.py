@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from labelpure.cli import (
 )
 from labelpure.data import FeatureMatrix, load_features, load_hard_labels, softmax, write_features
 from labelpure.evaluate import TrainConfig, load_classifier, train_linear_on_targets
-from labelpure.purifier import save_report
+from labelpure.purifier import PurifierConfig, save_report
 from labelpure.report import CorrectionReport, IterationRecord, load_report
 
 from oracles import reference_parse_class_map
@@ -398,7 +399,7 @@ def test_manifest_replay_is_bitwise(tmp_path):
     manifest_path = tmp_path / "pure.txt.manifest.json"
     manifest = _manifest(manifest_path)
     assert manifest["command"] == "purify"
-    assert manifest["config"]["purifier"]["epochs"] == 10
+    assert manifest["config"]["purifier"] == asdict(PurifierConfig(epochs=10, batch_size=128))
     assert set(manifest["inputs"]) == {"features", "labels", "val_features", "val_labels"}
 
     assert dispatch(["purify", "--config", str(manifest_path)]) == 0
@@ -836,9 +837,23 @@ def _lookup(tree, dotted):
     return tree
 
 
+# The nested sub-tree each handler fills in from its config dataclass.
+_DATACLASS_TREES = {"purify": ("purifier", PurifierConfig), "retrain": ("train", TrainConfig)}
+
+
+def _default_tree(command):
+    """The config a run of ``command`` with no file and no flag records: the
+    option table's top-level defaults, and the config dataclass's sub-tree."""
+    tree = _defaults(command)
+    if command in _DATACLASS_TREES:
+        name, config = _DATACLASS_TREES[command]
+        tree[name] = asdict(config())
+    return tree
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_option_key_is_in_the_default_tree(command):
-    defaults = _defaults(command)
+    defaults = _default_tree(command)
     options = _COMMANDS[command].options
     assert len({opt.key for opt in options}) == len(options), "two flags set one key"
     for opt in options:
@@ -849,7 +864,7 @@ def test_every_option_key_is_in_the_default_tree(command):
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_default_key_has_a_flag(command):
-    leaves = set(_flatten(_defaults(command))) - {"version"}
+    leaves = set(_flatten(_default_tree(command))) - {"version"}
     assert leaves == {opt.key for opt in _COMMANDS[command].options}
 
 
@@ -857,7 +872,7 @@ def test_readme_purify_config_is_the_default_tree():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
     (block,) = [b for b in blocks if "purifier" in b]
-    assert block["purifier"] == _defaults("purify")["purifier"]
+    assert block["purifier"] == asdict(PurifierConfig())
 
 
 def _flatten(tree, prefix=""):
@@ -884,27 +899,28 @@ def _other_value(opt, current):
 
 
 # No file is read or written: the handler is stubbed, and each manifest's path
-# and config are recorded instead.
+# and config are recorded instead. A stubbed purify or retrain handler writes
+# no sub-tree back, so the keys it would fill in come from its dataclass.
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_each_flag_sets_exactly_its_key_in_the_manifest(command, monkeypatch):
     cmd = _COMMANDS[command]
     monkeypatch.setitem(_COMMANDS, command, cmd._replace(func=lambda cfg: ({}, {}, {})))
     written = []
     monkeypatch.setattr(cli, "_write_manifest", lambda path, _, config, *rest: written.append((path, config)))
-    defaults = _defaults(command)
+    defaults = _flatten(_default_tree(command))
     base = [command]
     for opt in cmd.options:
         if opt.required:
             base += _other_value(opt, defaults[opt.key])
     assert dispatch(base) == 0
-    before = _flatten(written.pop()[1])
+    before = {**defaults, **_flatten(written.pop()[1])}
     for opt in cmd.options:
         words = _other_value(opt, before[opt.key])
         assert dispatch(base + words) == 0
         path, config = written.pop()
         if opt.key == "manifest":
             assert path == words[1]
-        after = _flatten(config)
+        after = {**defaults, **_flatten(config)}
         changed = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
         assert changed == {opt.key}, opt.flag
 
@@ -1165,7 +1181,38 @@ def test_threads_pin_blas_before_numpy_loads(tmp_path, source):
     out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[-2:] == ["0", "1"]
-    assert _manifest(tmp_path / "m.json.manifest.json")["config"]["threads"] == "1"
+    config = _manifest(tmp_path / "m.json.manifest.json")["config"]
+    assert config["threads"] == "1"
+    assert config["train"] == asdict(TrainConfig(epochs=1))  # the handler fills in the keys the file left out
+
+
+# Each command resolved with every flag set, and purify and retrain also from a
+# file with nested keys (a retired one among them); then a purify file with an
+# unknown nested key, which is refused. None of it may load numpy or scipy.
+def test_resolving_any_config_loads_neither_numpy_nor_scipy(tmp_path):
+    configs = {
+        "purify": {"purifier": {"ipc": {"lam": 2}, "eac": {"beta1": 0.9}}, "out_logits": None},
+        "retrain": {"train": {"epochs": 2, "weight_decay": 0.0}, "alpha": 2.0},
+        "bad": {"purifier": {"ipc": {"lambda": 0.5}}},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"version": 1, **config}))
+    resolved = [[name, *(w for opt in cmd.options for w in _other_value(opt, None))] for name, cmd in _COMMANDS.items()]
+    for name in ("purify", "retrain"):
+        required = (f"{opt.flag}={opt.key}" for opt in _COMMANDS[name].options if opt.required)
+        resolved.append([name, "--config", str(tmp_path / f"{name}.json"), *required])
+    script = (
+        "import json, sys\n"
+        "from labelpure.cli import _resolve, build_parser, dispatch\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    _resolve(build_parser().parse_args(argv))\n"
+        "code = dispatch(['purify', '--config', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    bad = tmp_path / "bad.json"
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(resolved), str(bad)], capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1:] == ["1 []"], out.stderr
+    assert out.stderr == f"labelpure: error: {bad}: unknown config key 'purifier.ipc.lambda'\n"
 
 
 @pytest.mark.parametrize("misplaced, dotted", [

@@ -44,6 +44,13 @@ def test_minibatches_cut_one_seeded_permutation_per_epoch():
 # ---------------------------------------------------------------- forward
 
 
+# A weights row of no class is in test_malformed_classifier_file_names_path_and_key;
+# no JSON array holds weights of no row.
+def test_classifier_refuses_weights_with_no_row():
+    with pytest.raises(ValueError, match=r"at least one row and one column, got shape \(0, 3\)"):
+        LinearClassifier(np.zeros((0, 3)), np.zeros(3))
+
+
 def test_forward_zero_classifier():
     clf = LinearClassifier(np.zeros((3, 2)), np.zeros(2))
     assert np.array_equal(classifier_forward(clf, np.ones((4, 3))), np.zeros((4, 2)))

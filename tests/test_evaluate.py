@@ -270,6 +270,9 @@ def test_classifier_version_check(tmp_path):
                  "line 1: integer with more than 4300 digits: column 29", id="5000-digit-weight"),
     ('{"version": 1, "weights": [[1.0, 2.0]], "bias": [0.0]}', "inconsistent classifier shapes (1, 2) / (1,)"),
     ('{"version": 1, "weights": [[NaN]], "bias": [0.0]}', "classifier parameters contain non-finite entries"),
+    # One row of no class: eval would take the argmax of an empty row.
+    ('{"version": 1, "weights": [[]], "bias": []}',
+     "classifier weights must have at least one row and one column, got shape (1, 0)"),
     ('{"version": 1, "weights": [[0.0]], "bias"', "line 1: Expecting ':' delimiter: column 42"),
     ('{"version": 1,\n "weights": [[0.0]],\n "bias": [0.', "line 3: Expecting ',' delimiter: column 12"),
     ("\udcff{}", "line 1: not UTF-8 text"),
