@@ -2,10 +2,11 @@
 
 Each subcommand has one option table in ``_COMMANDS``; each row is a flag and
 the one config key it sets (dotted when nested). It alone says which keys a
-config may hold: the top-level defaults, the argparse arguments and the flag
-resolution all derive from it. Keys that older releases wrote for a command
-(``_RETIRED_KEYS``) are dropped from that command's ``--config`` files when
-replaying them cannot change a run; any other key is an error. The nested
+config may hold, and ``_check_value`` is the one check of a value, whether a
+file or a flag gave it. Config files nest their keys: a key spelled with a dot
+is unknown, as is any key no option sets (``threads`` outside purify, retrain
+and eval), unless an older release wrote it for the command (``_RETIRED_KEYS``)
+and it holds the value every run used, when it is dropped. The nested
 ``purifier`` and ``train`` sub-trees hold only the keys a file or flag gave:
 the purify and retrain handlers fill in the rest from ``PurifierConfig`` and
 ``TrainConfig`` and write the whole tree back.
@@ -13,9 +14,8 @@ the purify and retrain handlers fill in the rest from ``PurifierConfig`` and
 Every run resolves its configuration (defaults < config file < flags) and
 ``dispatch`` writes a manifest recording the config the handler resolved,
 input digests, and seeds; re-running a subcommand with ``--config <manifest>``
-reproduces the outputs bitwise. Resolving loads neither numpy nor scipy, so
-the resolved ``threads``, from the flag or a replayed config, pins BLAS thread
-counts before the handler's imports load numpy.
+reproduces the outputs bitwise. Resolving loads neither numpy nor scipy, so a
+resolved ``threads`` pins BLAS thread counts before the handler loads numpy.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ class _Command(NamedTuple):
     primary: str
 
 
-def _check_threads(value, where: str) -> None:
-    """Refuse a thread count that is not a positive decimal integer. It stays a
-    string, as manifests record it; OpenBLAS reads "abc" or "0" as every core."""
-    if value is not None and not (json_is(value, str) and value.isascii() and value.isdigit() and int(value) > 0):
-        raise ValueError(f'{where} must be a positive integer such as "1", got {json.dumps(value)}')
-
-
 def _apply_threads(threads) -> None:
     # Best effort: only effective when numpy has not been imported yet.
     if threads is None or "numpy" in sys.modules:
@@ -122,14 +115,16 @@ def _write_manifest(path: str, command: str, config: dict, inputs: dict, outputs
 
 
 def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, retired: dict, prefix: str = "") -> dict:
-    """Overlay ``source``'s config on ``base``. Each key is an option's
-    (``options``, by dotted key), with a value of the type its flag parses to;
-    a prefix of an option's key, with an object; or the top-level ``version``,
-    which the loader checked. Any other key is dropped if ``retired`` (the
-    command's ``_RETIRED_KEYS`` row) has it at that value, and so is an object
-    left empty."""
+    """Overlay ``source``'s config on ``base``. Each key, which holds no dot,
+    is an option's (``options``, by dotted key), with a value ``_check_value``
+    passes; a prefix of an option's key, with an object; or the top-level
+    ``version``, which the loader checked. Any other key is dropped if
+    ``retired`` (the command's ``_RETIRED_KEYS`` row) has it at that value,
+    and so is an object left empty."""
     for key, value in overlay.items():
         dotted = prefix + key
+        if "." in key:  # files nest their keys; the handlers read only the nested trees
+            raise ValueError(f"{source}: unknown config key '{dotted}'")
         if dotted in options:
             opt = options[dotted]
             _check_value(opt, value, not prefix and opt.default is None, f"{source}: {dotted}")
@@ -152,10 +147,14 @@ def _deep_update(base: dict, overlay: dict, source: str | None, options: dict, r
 
 
 def _check_value(opt: _Opt, value, nullable: bool, where: str) -> None:
-    """Refuse a config value its flag could not have produced; null passes
-    where ``nullable`` (a top-level key unset by default)."""
+    """Refuse a config value, from a file or a flag, that its flag could not
+    have produced; null passes where ``nullable`` (a top-level key unset by
+    default). A thread count stays a string, as manifests record it, of a
+    positive decimal integer: OpenBLAS reads "abc" or "0" as every core."""
     if value is None and nullable:
         return
+    if opt.key == "threads" and not (json_is(value, str) and value.isascii() and value.isdigit() and int(value) > 0):
+        raise ValueError(f'{where} must be a positive integer such as "1", got {json.dumps(value)}')
     if not json_is(value, opt.type):
         raise ValueError(f"{where} must be {opt.type.__name__}, got {json.dumps(value)}")
     if opt.choices is not None and value not in opt.choices:
@@ -187,19 +186,17 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, str]:
     cmd = _COMMANDS[args.command]
     source = args.config
     overlay, replay = _load_config_file(source, args.command) if source else ({}, False)
-    _check_threads(overlay.get("threads"), f"{source}: threads")
-    _check_threads(getattr(args, "threads", None), "threads")
     options = {opt.key: opt for opt in cmd.options}
     cfg = _deep_update(_defaults(args.command), overlay, source, options, _RETIRED_KEYS.get(args.command, {}))
     for opt in cmd.options:
         value = getattr(args, opt.flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        node = cfg
-        *parents, leaf = opt.key.split(".")
-        for key in parents:
-            node = node.setdefault(key, {})
-        node[leaf] = value
+        if value is not None:
+            _check_value(opt, value, False, opt.key)
+            node = cfg
+            *parents, leaf = opt.key.split(".")
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = value
     _require(cfg, *(opt.key for opt in cmd.options if opt.required))
     primary = cfg[cmd.primary] or f"{cfg['model']}.eval"  # only eval's primary output, --out-json, is optional
     manifest = cfg["manifest"] or f"{primary}.manifest.json"

@@ -91,8 +91,8 @@ def minibatches(F: np.ndarray, batch: int, epochs: int, seed: int):
 
 def row_chunks(n: int) -> list[tuple[int, int]]:
     """The ``(lo, hi)`` row ranges that tile ``[0, n)``. Every chunk starts at
-    a multiple of 2048 rows and the last one absorbs a remainder under 1024
-    rows: under the SkylakeX and Haswell kernels that keeps each chunk's
+    a multiple of 2048 rows and the last one absorbs a remainder of up to
+    1024 rows: under the SkylakeX and Haswell kernels that keeps each chunk's
     product bitwise equal to its columns of the single product, where short
     tails, unaligned starts or 1024-row chunks are not."""
     edges = [*range(0, max(1, n - 1024), 2048), n]

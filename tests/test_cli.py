@@ -1234,6 +1234,55 @@ def test_unknown_config_key_exits_one_naming_it(misplaced, dotted, tmp_path, cap
     assert not (tmp_path / "pure.txt").exists()
 
 
+# Config files nest their keys. A key spelled with a dot names no option, even
+# one whose flag sets that dotted key: the handler would never read it, yet the
+# manifest would record it as if the run had used it.
+@pytest.mark.parametrize("command, misplaced, dotted", [
+    ("purify", {"purifier.epochs": 1}, "purifier.epochs"),
+    ("purify", {"purifier": {"ipc.alpha": 2}}, "purifier.ipc.alpha"),
+    ("purify", {"purifier.eac.beta1": 0.9}, "purifier.eac.beta1"),  # retired only where nested
+    ("retrain", {"train.epochs": 1}, "train.epochs"),
+])
+def test_dotted_config_key_is_unknown(command, misplaced, dotted, tmp_path, capsys):
+    _synth(tmp_path, n=60, n_val=20, n_test=0)
+    config = {"version": 1, "features": str(tmp_path / "f.bin"), "labels": str(tmp_path / "y.txt"), **misplaced}
+    if command == "purify":
+        config.update(
+            val_features=str(tmp_path / "vf.bin"), val_labels=str(tmp_path / "vy.csv"), out_labels=str(tmp_path / "out")
+        )
+    else:
+        config["out_model"] = str(tmp_path / "out")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert dispatch([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"labelpure: error: {path}: unknown config key '{dotted}'\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+# threads is a key of purify, retrain and eval alone, and one check judges it
+# in a config file as on the command line: to any other command it is an
+# unknown key, whatever its value. The handler is stubbed, so no file is read.
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("value", ["abc", "0", "2", 2, True], ids=json.dumps)
+def test_config_file_threads_meets_the_flag_rule(command, value, tmp_path, capsys, monkeypatch):
+    cmd = _COMMANDS[command]
+    monkeypatch.setitem(_COMMANDS, command, cmd._replace(func=lambda cfg: ({}, {}, {})))
+    written = []
+    monkeypatch.setattr(cli, "_write_manifest", lambda path, _, config, *rest: written.append(config))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "threads": value}))
+    required = [f"{opt.flag}={tmp_path / opt.key if opt.type is str else 1}" for opt in cmd.options if opt.required]
+    code = dispatch([command, "--config", str(path), *required])
+    err = capsys.readouterr().err
+    if not any(opt.key == "threads" for opt in cmd.options):
+        assert (code, err) == (1, f"labelpure: error: {path}: unknown config key 'threads'\n")
+    elif value != "2":
+        message = f'threads must be a positive integer such as "1", got {json.dumps(value)}'
+        assert (code, err) == (1, f"labelpure: error: {path}: {message}\n")
+    else:
+        assert (code, err, [config["threads"] for config in written]) == (0, "", ["2"])
+
+
 @pytest.mark.parametrize("tree, message", [
     ({"purifier": {"epochs": "3"}}, 'purifier.epochs must be int, got "3"'),
     ({"purifier": {"ipc": None}}, "purifier.ipc must be an object, got null"),

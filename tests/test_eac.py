@@ -100,7 +100,7 @@ def test_forward_matches_row_major_product_at_split_shapes(n, d, c):
 # the same bits.
 @pytest.mark.parametrize("c", [2, 5, 10])
 @pytest.mark.parametrize("d", [32, 512])
-@pytest.mark.parametrize("n", [2049, 4097, 20001])
+@pytest.mark.parametrize("n", [2049, 3072, 4097, 5120, 20001])
 def test_forward_of_float32_rows_is_the_single_float64_product(n, d, c):
     rng = np.random.default_rng(n * d + c)
     clf = LinearClassifier(rng.normal(size=(d, c)), rng.normal(size=c))
@@ -134,6 +134,10 @@ def test_replacement_by_row_chunks_is_the_full_replacement():
         assert chunks[0][0] == 0 and chunks[-1][1] == m
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(row_chunks(hi - lo) == [(0, hi - lo)] for lo, hi in chunks)
+    # The last chunk absorbs a tail of up to 1024 rows, 1024 included.
+    assert row_chunks(3072) == [(0, 3072)]
+    assert row_chunks(3073) == [(0, 2048), (2048, 3073)]
+    assert row_chunks(5120) == [(0, 2048), (2048, 5120)]
 
 
 def test_forward_dim_mismatch():
