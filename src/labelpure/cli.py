@@ -72,6 +72,11 @@ class _Opt(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
+# The rows several commands share, each declared once.
+_THREADS = _Opt("--threads", "threads", help="BLAS thread count (set before numpy loads)")
+_MANIFEST = _Opt("--manifest", "manifest", help="path of the run's manifest (default: beside the main output)")
+
+
 class _Command(NamedTuple):
     """``func`` maps the resolved config to ``(inputs, outputs, seeds)`` for the
     manifest, which goes beside the output keyed ``primary`` unless
@@ -243,7 +248,7 @@ _SYNTH_OPTIONS = (
     _Opt("--n-test", "n_test", int, default=0),
     _Opt("--out-test-features", "out_test_features"),
     _Opt("--out-test-labels", "out_test_labels"),
-    _Opt("--manifest", "manifest"),
+    _MANIFEST,
 )
 
 
@@ -283,7 +288,7 @@ _CORRUPT_OPTIONS = (
     _Opt("--seed", "seed", int, default=0),
     _Opt("--classes", "classes", int, "class count (default: max index + 1)"),
     _Opt("--out", "out", required=True),
-    _Opt("--manifest", "manifest"),
+    _MANIFEST,
 )
 
 
@@ -352,8 +357,8 @@ _PURIFY_OPTIONS = (
     _Opt("--eac-lr", "purifier.eac.lr", float),
     _Opt("--ipc", "purifier.use_ipc", bool, "enable the ridge corrector"),
     _Opt("--eac", "purifier.use_eac", bool, "enable the classifier corrector"),
-    _Opt("--threads", "threads", help="BLAS thread count (set before numpy loads)"),
-    _Opt("--manifest", "manifest"),
+    _THREADS,
+    _MANIFEST,
 )
 
 
@@ -404,8 +409,8 @@ _RETRAIN_OPTIONS = (
     _Opt("--lr", "train.lr", float),
     _Opt("--seed", "train.seed", int),
     _Opt("--out-model", "out_model", required=True),
-    _Opt("--threads", "threads"),
-    _Opt("--manifest", "manifest"),
+    _THREADS,
+    _MANIFEST,
 )
 
 
@@ -449,8 +454,8 @@ _EVAL_OPTIONS = (
     _Opt("--features", "features", required=True),
     _Opt("--labels", "labels", required=True),
     _Opt("--out-json", "out_json"),
-    _Opt("--threads", "threads"),
-    _Opt("--manifest", "manifest"),
+    _THREADS,
+    _MANIFEST,
 )
 
 
@@ -479,7 +484,7 @@ def _cmd_eval(cfg: dict) -> tuple:
 _REPORT_OPTIONS = (
     _Opt("--in", "in", required=True),
     _Opt("--csv", "csv", required=True),
-    _Opt("--manifest", "manifest"),
+    _MANIFEST,
 )
 
 

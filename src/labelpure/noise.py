@@ -18,9 +18,9 @@ from .errors import check_config
 # truck->automobile, bird->airplane, deer->horse, cat<->dog.
 CIFAR10_CLASS_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
 
-# Scratch bytes for shuffling one split's rows in place. A split of at most
-# half this size is gathered into a fresh copy; a larger one is permuted
-# along its cycles, so it never exists twice.
+# A split of at most half this many bytes is shuffled by gathering it into a
+# fresh copy; a larger one is permuted in place, one cycle at a time, with one
+# row and one byte per row of scratch, so it never exists twice.
 _SHUFFLE_SCRATCH_BYTES = 2 << 20
 
 
@@ -50,51 +50,43 @@ def _balanced_counts(n: int, c: int) -> np.ndarray:
     return counts
 
 
+def _min_distance(points: np.ndarray) -> np.float64:
+    """The least distance between two rows of ``points``, each compared only with the rows after it."""
+    return np.min([np.linalg.norm(points[i] - points[i + 1 :], axis=1).min() for i in range(len(points) - 1)])
+
+
 def _cluster_means(rng: np.random.Generator, spec: MixtureSpec) -> np.ndarray:
     # Random point cloud rescaled so the minimum pairwise distance equals the
     # requested separation exactly, then verified.
     for _ in range(100):
         pts = rng.standard_normal((spec.classes, spec.dim))
-        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        min_dist = dists[np.triu_indices(spec.classes, 1)].min()
+        min_dist = _min_distance(pts)
         if min_dist > 1e-9:
             means = pts * (spec.separation / min_dist)
-            check = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-            assert check[np.triu_indices(spec.classes, 1)].min() >= spec.separation * (1 - 1e-9)
+            assert _min_distance(means) >= spec.separation * (1 - 1e-9)
             return means
     raise RuntimeError("failed to place distinct cluster means")
 
 
 def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> None:
-    """Set ``rows[:] = rows[perm]`` in place, in about ``_SHUFFLE_SCRATCH_BYTES`` of scratch.
-
-    Every k-th row is saved, with k chosen so the saved copy and one step's
-    gather share the budget, and those rows are written first. Each step then
-    moves one row further along every cycle of ``perm``: it writes the rows
-    whose old values the previous step read, taking a saved row from the
-    copy. The few cycles that hold no saved row are gathered at the end.
-    """
-    k = -(-2 * rows.nbytes // _SHUFFLE_SCRATCH_BYTES)
-    if k <= 1:
+    """Set ``rows[:] = rows[perm]`` in place. A split of more than half
+    ``_SHUFFLE_SCRATCH_BYTES`` walks each cycle of ``perm`` once, holding its
+    first row aside while each row takes the one ``perm`` names."""
+    if 2 * rows.nbytes <= _SHUFFLE_SCRATCH_BYTES:
         rows[...] = rows[perm]
         return
-    saved = rows[::k].copy()
-    is_saved = np.zeros(len(rows), dtype=bool)
-    is_saved[::k] = True
-    written = is_saved.copy()
-    src = perm[::k]
-    rows[::k] = rows[src]
-    pos = src[~is_saved[src]]
-    while pos.size:
-        src = perm[pos]
-        from_copy = is_saved[src]
-        moved = rows[src]
-        moved[from_copy] = saved[src[from_copy] // k]
-        rows[pos] = moved
-        written[pos] = True
-        pos = src[~from_copy]
-    rest = np.flatnonzero(~written)
-    rows[rest] = rows[perm[rest]]
+    held = np.empty_like(rows[0])
+    done = bytearray(len(rows))
+    source = memoryview(perm)  # indexes perm without a list of N Python ints
+    for start in range(len(rows)):
+        if not done[start]:
+            held[...] = rows[start]
+            dst = start
+            while (src := source[dst]) != start:
+                rows[dst] = rows[src]
+                done[src] = 1
+                dst = src
+            rows[dst] = held
 
 
 def gen_gaussian_mixture_split(

@@ -831,6 +831,15 @@ def test_every_replayable_command_has_the_same_config_help():
         assert helps == [_REPLAY_HELP], name
 
 
+@pytest.mark.parametrize("flag, commands", [("--threads", ["eval", "purify", "retrain"]), ("--manifest", sorted(_COMMANDS))])
+def test_shared_options_have_one_help_text(flag, commands):
+    helps = {
+        name: action.help for name, p in _subparsers().items() for action in p._actions if flag in action.option_strings
+    }
+    assert sorted(helps) == commands
+    assert len(set(helps.values())) == 1 and None not in helps.values(), helps
+
+
 def _lookup(tree, dotted):
     for key in dotted.split("."):
         tree = tree[key]
